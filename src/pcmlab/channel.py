@@ -63,16 +63,23 @@ def sample_chain(
         raise ValueError("length must be nonnegative")
     if not (0.0 <= init_p1 <= 1.0):
         raise ValueError("init_p1 must lie in [0, 1]")
-    rng = stream_rng(seed, stream)
-    u = rng.random(length + 1)
-    word = np.empty(length + 1, dtype=np.uint8)
-    word[0] = u[0] < init_p1
+    u = stream_rng(seed, stream).random(length + 1)
     a, nb = params.alpha, 1.0 - params.beta
-    prev = bool(word[0])
-    for k in range(1, length + 1):
-        prev = u[k] < (a if prev else nb)
-        word[k] = prev
-    return word
+    lo, hi = min(a, nb), max(a, nb)
+    # Step k is 1 when u[k] < lo and 0 when u[k] >= hi, whatever the state
+    # before it.  In between it copies that state when a > nb and flips it
+    # when a < nb, so each step follows from the last fixed step at or
+    # before it and, for flips, the parity of the distance to that step.
+    fixed = (u < lo) | (u >= hi)
+    fixed[0] = True
+    value = u < lo
+    value[0] = u[0] < init_p1
+    k = np.arange(length + 1)
+    anchor = np.maximum.accumulate(np.where(fixed, k, 0))
+    word = value[anchor]
+    if a < nb:
+        word ^= ((k - anchor) & 1).astype(bool)
+    return word.view(np.uint8)
 
 
 def sample_chain_batch(

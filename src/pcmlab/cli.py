@@ -39,6 +39,7 @@ from .experiments import (
     SIMULATE_CHAIN_STREAM,
     SIMULATE_NOISE_STREAM,
     ExperimentConfig,
+    NonFiniteSampleError,
     compare_table,
     prepare,
     rate_study,
@@ -447,15 +448,18 @@ def dispatch(command: str, cfg: ExperimentConfig, args, out_dir) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         outputs = _HANDLERS[command](cfg, out_dir, args)
-    except (ConfigError, SingularMatrixError) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 2
+    except (
+        ConvergenceError,
+        NotPositiveDefiniteError,
+        np.linalg.LinAlgError,
+        NonFiniteSampleError,
+    ) as exc:
+        # Before ValueError, which NotPositiveDefiniteError and LinAlgError subclass.
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     manifest = write_manifest(out_dir, command, cfg, outputs)
     print(f"outputs: {', '.join(str(p) for p in outputs + [manifest])}")
     return 0

@@ -32,6 +32,28 @@ ERGODIC_STREAM = 1 << 48
 SIMULATE_CHAIN_STREAM = (1 << 48) + 1
 SIMULATE_NOISE_STREAM = (1 << 48) + 2
 
+# Segment length and first-round warm-up of the parallel-in-time ergodic
+# run (see run_ergodic).  They set its speed only, never its output.  On
+# the bundled configs nearly every segment coalesces within the warm-up; one
+# that does not costs a re-run round, about half a first round.
+_SEGMENT = 1000
+_WARMUP = 1000
+
+
+class NonFiniteSampleError(FloatingPointError):
+    """A distance sample is NaN or infinite, so no bin or cluster holds it."""
+
+
+def _finite_samples(samples) -> np.ndarray:
+    samples = np.asarray(samples, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise NonFiniteSampleError(
+            f"{bad.size} of {samples.size} distance samples are not finite "
+            f"(first at index {bad[0]}: {samples[bad[0]]!r})"
+        )
+    return samples
+
 
 @dataclass(frozen=True)
 class Histogram:
@@ -148,7 +170,8 @@ def prepare(cfg: ExperimentConfig) -> PreparedPlant:
 
 
 def make_histogram(samples: np.ndarray, delta_max: float, n_bins: int) -> Histogram:
-    samples = np.asarray(samples, dtype=float)
+    """Bin finite samples; raises :class:`NonFiniteSampleError` otherwise."""
+    samples = _finite_samples(samples)
     width = delta_max / n_bins
     idx = np.floor(samples / width).astype(np.int64)
     in_range = (samples >= 0) & (idx < n_bins)
@@ -192,6 +215,20 @@ def _branch_blocks(mp: ModifiedPlant):
     )
 
 
+def _branch_step(blocks, p: np.ndarray, got: np.ndarray) -> None:
+    """Advance the stack ``p`` one step in place: the measurement branch
+    where ``got`` is true, the open-loop branch elsewhere."""
+    a0, w0, a1, w1, k1 = blocks
+    if got.all():
+        p[...] = _gamma1_update(a1, w1, k1, p)
+    elif not got.any():
+        p[...] = _gamma0_update(a0, w0, p)
+    else:
+        p[got] = _gamma1_update(a1, w1, k1, p[got])
+        lost = ~got
+        p[lost] = _gamma0_update(a0, w0, p[lost])
+
+
 def run_empirical(
     cfg: ExperimentConfig, prep: PreparedPlant | None = None
 ) -> tuple[np.ndarray, Histogram]:
@@ -205,19 +242,15 @@ def run_empirical(
     seed = cfg.require_seed()
     if prep is None:
         prep = prepare(cfg)
-    a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
-    n = a0.shape[0]
+    blocks = _branch_blocks(prep.mp)
+    n = prep.mp.n
 
     words = sample_chain_batch(cfg.channel, cfg.init_p1, cfg.horizon, seed, cfg.trials)
     p = np.broadcast_to(
         cfg.init_pcm_scale * np.eye(n), (cfg.trials, n, n)
     ).copy()
     for k in range(1, cfg.horizon + 1):
-        got = words[:, k].astype(bool)
-        if np.any(~got):
-            p[~got] = _gamma0_update(a0, w0, p[~got])
-        if np.any(got):
-            p[got] = _gamma1_update(a1, w1, k1, p[got])
+        _branch_step(blocks, p, words[:, k] != 0)
     samples = distances_to(prep.p_star, p) / LN10
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
 
@@ -231,28 +264,83 @@ def run_ergodic(
     empirical ``init_p1``) and the PCM at the fixed point, which is what
     makes time averages converge to the stationary law.  Samples include the
     initial step, so ``horizon + 1`` distances are returned.
+
+    The path is evaluated parallel in time, bit-identical to applying the
+    branch maps one step after another.  The steps are cut into segments of
+    ``_SEGMENT`` steps; segment ``j`` owns steps ``s_j + 1 .. s_j +
+    _SEGMENT`` with ``s_j = j * _SEGMENT``.  All segments advance together
+    as one batch, one step per iteration.  In the first round segment 0
+    starts exactly (from the fixed point at step 0); every other segment
+    starts from the fixed point at step ``s_j - _WARMUP`` (clamped to 0) and
+    writes its own steps into the path.  The recursion forgets its start,
+    and in floating point the forgetting is exact: two runs driven by the
+    same word become bit-identical after some hundreds of steps and stay so.
+
+    After each round the segments are walked in order.  Segment ``j`` is
+    accepted when its predecessor is and the state it started its own steps
+    from equals, bit for bit, the state its predecessor wrote at ``s_j``.
+    The maps are deterministic functions of their input bits (batched and
+    single calls agree bit for bit), so an accepted segment wrote exactly
+    the sequential values.  Segments not accepted are re-run for their own
+    steps only, each from the state its predecessor left at its seam.  The
+    first of them starts from an exact state and is accepted after the
+    round, so at most one round per segment runs whatever the values, NaN
+    and inf included.  ``_SEGMENT`` and ``_WARMUP`` change the speed only,
+    never the result.
     """
     seed = cfg.require_seed()
     if prep is None:
         prep = prepare(cfg)
-    a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
-    n = a0.shape[0]
-
     length = cfg.effective_ergodic_length
     gamma_st = stationary_probability(cfg.channel)
     word = sample_chain(cfg.channel, gamma_st, length, seed, stream=ERGODIC_STREAM)
-    path = np.empty((length + 1, n, n))
-    path[0] = prep.p_star.entries
-    p = path[0]
-    for k in range(1, length + 1):
-        p = (
-            _gamma1_update(a1, w1, k1, p)
-            if word[k]
-            else _gamma0_update(a0, w0, p)
-        )
-        path[k] = p
+    path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
     samples = distances_to(prep.p_star, path) / LN10
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
+
+
+def _ergodic_path(
+    mp: ModifiedPlant, p_star: np.ndarray, word: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """PCM path driven by ``word[1:]`` from ``p_star``, and the rounds used.
+
+    ``path[0] = p_star`` and ``path[k]`` is the branch map of ``word[k]``
+    applied to ``path[k - 1]``; see :func:`run_ergodic` for the segmented
+    evaluation and why it is exact.
+    """
+    blocks = _branch_blocks(mp)
+    length = word.size - 1
+    n = p_star.shape[0]
+    seg = _SEGMENT
+    count = -(-length // seg)
+    last = length - (count - 1) * seg  # steps owned by the last segment
+    path = np.empty((length + 1, n, n))
+    path[0] = p_star
+    state = np.broadcast_to(p_star, (count, n, n)).copy()
+    first, warmup, rounds = 0, _WARMUP, 0
+    while first < count:
+        rounds += 1
+        # Iteration t moves each running segment j from step s_j + t - 1 to
+        # s_j + t.  Iterations t <= 0 are warm-up and write nothing; in them
+        # only the segments with s_j + t >= 1 have started.  The seam states
+        # (each segment's state at s_j) are taken before iteration 1.
+        start = max(1 - warmup, 1 - (count - 1) * seg)
+        stop = seg if first < count - 1 else last
+        for t in range(start, stop + 1):
+            if t == 1:
+                seam = state[first:].copy()
+            lo = max(first, -t // seg + 1)
+            hi = count if t <= last else count - 1
+            steps = slice(lo * seg + t, (hi - 1) * seg + t + 1, seg)
+            _branch_step(blocks, state[lo:hi], word[steps] != 0)
+            if t >= 1:
+                path[steps] = state[lo:hi]
+        written = path[first * seg : count * seg : seg]
+        same = np.all(seam.view(np.uint64) == written.view(np.uint64), axis=(1, 2))
+        first += int(np.logical_and.accumulate(same).sum())
+        state[first:] = path[first * seg : count * seg : seg]
+        warmup = 0
+    return path, rounds
 
 
 def cluster_intervals(distances: np.ndarray, n_s: int) -> list:
@@ -284,9 +372,9 @@ def cluster_probabilities(
 
     Returns ``(fractions, unassigned)`` where ``fractions[i]`` is the share
     of samples inside interval ``i`` and ``unassigned`` the share outside
-    every interval.
+    every interval.  Non-finite samples raise :class:`NonFiniteSampleError`.
     """
-    samples = np.asarray(samples, dtype=float)
+    samples = _finite_samples(samples)
     fractions = np.zeros(len(distances))
     for i, (lo, hi, closed_lo) in enumerate(cluster_intervals(distances, n_s)):
         if closed_lo:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from pcmlab import ChannelParams, recurrence_stats, sample_chain, stationary_probability
 from pcmlab.channel import sample_chain_batch
+from pcmlab.rng import stream_rng
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -30,6 +31,19 @@ class TestParams:
         vec = np.array([pi1, 1.0 - pi1])
         out = params.transition_matrix() @ vec
         np.testing.assert_allclose(out, vec, atol=1e-14)
+
+
+def step_loop_chain(params, init_p1, length, seed, stream):
+    """Oracle: draw the chain one transition at a time."""
+    u = stream_rng(seed, stream).random(length + 1)
+    word = np.empty(length + 1, dtype=np.uint8)
+    word[0] = u[0] < init_p1
+    a, nb = params.alpha, 1.0 - params.beta
+    prev = bool(word[0])
+    for k in range(1, length + 1):
+        prev = u[k] < (a if prev else nb)
+        word[k] = prev
+    return word
 
 
 class TestSampleChain:
@@ -80,6 +94,19 @@ class TestSampleChain:
         p00 = 1.0 - np.mean(w[1:][w[:-1] == 0])
         assert p11 == pytest.approx(0.80, abs=0.01)
         assert p00 == pytest.approx(0.30, abs=0.01)
+
+    # alpha > 1 - beta (states persist), alpha < 1 - beta (states alternate)
+    # and alpha = 1 - beta (independent symbols).
+    @pytest.mark.parametrize("alpha, beta", [(0.95, 0.05), (0.8, 0.3), (0.08, 0.92),
+                                             (0.2, 0.3), (0.1, 0.05), (0.7, 0.3)])
+    @pytest.mark.parametrize("init_p1", [0.0, 0.35, 1.0])
+    def test_bitwise_equal_to_step_loop(self, alpha, beta, init_p1):
+        params = ChannelParams(alpha, beta)
+        for seed in range(4):
+            for length in (0, 1, 2, 2_000):
+                assert sample_chain(params, init_p1, length, seed, stream=seed + 3).tobytes() == (
+                    step_loop_chain(params, init_p1, length, seed, stream=seed + 3).tobytes()
+                )
 
 
 class TestRecurrence:

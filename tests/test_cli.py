@@ -114,6 +114,21 @@ class TestCommands:
         assert run_cli("empirical", "--config", path, "--out", tmp_path / "o") == 2
         assert "master_seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, message", [
+        ("ergodic", "not positive definite"),
+        ("empirical", "Singular matrix"),
+    ])
+    def test_numerical_breakdown_exits_3(self, tmp_path, capsys, command, message):
+        # Heavy loss with the transition scaled by 8: long drop runs blow the
+        # PCM up until the linear algebra breaks down.
+        raw = json.loads((ROOT / "configs" / "paper_section5_heavy.json").read_text())
+        raw["plant"]["a"] = [[8 * x for x in row] for row in raw["plant"]["a"]]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        assert run_cli(command, "--config", path, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and message in err
+
     def test_approx_delta_atoms_roundtrip(self, tmp_path):
         assert run_cli("approx", "--config", REFERENCE_CONFIG, "--method", "delta",
                        "--out", tmp_path) == 0

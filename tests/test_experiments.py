@@ -1,11 +1,26 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcmlab.experiments as experiments
 from pcmlab import ChannelParams, ExperimentConfig, cluster_probabilities, compare_table
+from pcmlab.channel import sample_chain, stationary_probability
+from pcmlab.cli import load_config
 from pcmlab.experiments import (
+    ERGODIC_STREAM,
+    LN10,
+    NonFiniteSampleError,
+    _branch_blocks,
+    _ergodic_path,
+    _gamma0_update,
+    _gamma1_update,
     cluster_intervals,
+    distances_to,
     ergodic_distribution,
     make_histogram,
     prepare,
@@ -13,6 +28,9 @@ from pcmlab.experiments import (
     run_empirical,
     run_ergodic,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+DESK_CONFIGS = ("paper_section5.json", "paper_section5_moderate.json", "paper_section5_heavy.json")
 
 @pytest.fixture(scope="module")
 def desk_samples(ref_cfg, ref_prep):
@@ -38,6 +56,11 @@ class TestHistogram:
         hist = make_histogram(np.array(values), delta_max=1.0, n_bins=13)
         assert hist.counts.sum() + hist.overflow == hist.total
         assert hist.normalized.sum() + hist.overflow / hist.total == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(NonFiniteSampleError, match="1 of 3 .* index 1"):
+            make_histogram(np.array([0.1, bad, 0.2]), delta_max=1.0, n_bins=4)
 
 
 class TestClusterAssignment:
@@ -74,6 +97,12 @@ class TestClusterAssignment:
             cluster_probabilities(np.array([0.1]), np.array([0.0, 2.0, 1.0]), n_s=2)
         with pytest.raises(ValueError, match="start at 0"):
             cluster_probabilities(np.array([0.1]), np.array([0.5, 1.0]), n_s=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        distances = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(NonFiniteSampleError, match="not finite"):
+            cluster_probabilities(np.array([0.0, 1.0, bad]), distances, n_s=4)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.0, max_value=4.0))
@@ -149,6 +178,87 @@ class TestErgodic:
         assert fracs[0] == pytest.approx(pi1, abs=0.01)
         assert fracs[1] == pytest.approx(pi1 * (1 - alpha), abs=0.01)
         assert fracs[2] == pytest.approx(pi1 * (1 - alpha) * beta, abs=0.005)
+
+
+def sequential_ergodic(cfg, prep):
+    """Oracle: the step-by-step loop that the segmented run replaced."""
+    a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
+    n = a0.shape[0]
+
+    length = cfg.effective_ergodic_length
+    gamma_st = stationary_probability(cfg.channel)
+    word = sample_chain(cfg.channel, gamma_st, length, cfg.master_seed, stream=ERGODIC_STREAM)
+    path = np.empty((length + 1, n, n))
+    path[0] = prep.p_star.entries
+    p = path[0]
+    for k in range(1, length + 1):
+        p = (
+            _gamma1_update(a1, w1, k1, p)
+            if word[k]
+            else _gamma0_update(a0, w0, p)
+        )
+        path[k] = p
+    samples = distances_to(prep.p_star, path) / LN10
+    return word, path, samples
+
+
+def assert_segmented_exact(cfg, prep):
+    """The segmented path and samples equal the oracle's bit for bit;
+    returns the number of rounds the segmented path took."""
+    word, path, samples = sequential_ergodic(cfg, prep)
+    segmented, rounds = _ergodic_path(prep.mp, prep.p_star.entries, word)
+    assert segmented.tobytes() == path.tobytes()
+    assert run_ergodic(cfg, prep)[0].tobytes() == samples.tobytes()
+    assert 1 <= rounds <= -(-(word.size - 1) // experiments._SEGMENT)
+    return rounds
+
+
+class TestSegmentedErgodic:
+    @pytest.mark.parametrize("name", DESK_CONFIGS)
+    def test_desk_configs_bitwise(self, name):
+        cfg = load_config(CONFIGS / name)
+        assert_segmented_exact(cfg, prepare(cfg))
+
+    def test_heavy_loss_rerun_rounds_bitwise(self):
+        # Under heavy loss some segments do not coalesce within the warm-up;
+        # this word needs re-run rounds, which must still be exact.
+        cfg = replace(load_config(CONFIGS / "paper_section5_heavy.json"), master_seed=18)
+        assert assert_segmented_exact(cfg, prepare(cfg)) >= 2
+
+    @pytest.mark.parametrize(
+        "length",
+        [
+            1,
+            experiments._SEGMENT - 1,
+            experiments._SEGMENT,
+            experiments._SEGMENT + 1,
+            5 * experiments._SEGMENT // 2 + 7,
+        ],
+    )
+    def test_lengths_around_segment_bitwise(self, ref_cfg, ref_prep, length):
+        assert_segmented_exact(replace(ref_cfg, ergodic_length=length), ref_prep)
+
+    @pytest.mark.parametrize("segment, warmup", [(7, 3), (3, 7), (1, 0), (13, 40)])
+    def test_exact_for_any_segment_lengths(self, monkeypatch, segment, warmup):
+        monkeypatch.setattr(experiments, "_SEGMENT", segment)
+        monkeypatch.setattr(experiments, "_WARMUP", warmup)
+        cfg = replace(
+            load_config(CONFIGS / "paper_section5_heavy.json"), ergodic_length=500
+        )
+        assert assert_segmented_exact(cfg, prepare(cfg)) > 1
+
+    def test_rounds_bounded_without_coalescence(self, tmp_path):
+        # With a scaled by 8 the recursion forgets its start far more slowly:
+        # no segment coalesces within the warm-up, re-run rounds accept
+        # about one segment each, and the loop still ends within the
+        # segment count.
+        raw = json.loads((CONFIGS / "paper_section5_heavy.json").read_text())
+        raw["plant"]["a"] = [[8 * x for x in row] for row in raw["plant"]["a"]]
+        raw["ergodic_length"] = 5 * experiments._SEGMENT
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        assert assert_segmented_exact(cfg, prepare(cfg)) >= 3
 
 
 @pytest.fixture(scope="module")
