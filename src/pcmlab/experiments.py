@@ -23,7 +23,14 @@ import numpy as np
 
 from .channel import ChannelParams, sample_chain, sample_chain_batch, stationary_probability
 from .pdm import PDMatrix, distances_to, homographic
-from .plant import ModifiedPlant, NominalPlant, build_modified_plant, check_structure
+from .plant import (
+    ModifiedPlant,
+    NominalPlant,
+    _branch_blocks,
+    _branch_step,
+    build_modified_plant,
+    check_structure,
+)
 from .riccati import orbit_distances, solve_dare
 from .stationary import LN10, Atom, AtomicDistribution, delta_distribution
 
@@ -185,48 +192,6 @@ def make_histogram(samples: np.ndarray, delta_max: float, n_bins: int) -> Histog
         normalized=counts / samples.size,
         overflow=overflow,
     )
-
-
-def _gamma0_update(a0: np.ndarray, w0: np.ndarray, p: np.ndarray) -> np.ndarray:
-    out = a0 @ p @ a0.T + w0
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def _gamma1_update(
-    a1: np.ndarray, w1: np.ndarray, k1: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Batched measurement update ``z (I + k1 z)^{-1}`` with ``z`` the
-    predicted matrix; algebraically the homographic measurement branch."""
-    z = a1 @ p @ a1.T + w1
-    eye = np.eye(a1.shape[0])
-    lhs = eye + k1 @ z
-    out = np.linalg.solve(np.swapaxes(lhs, -1, -2), np.swapaxes(z, -1, -2))
-    out = np.swapaxes(out, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
-def _branch_blocks(mp: ModifiedPlant):
-    return (
-        mp.a0,
-        mp.g0 @ mp.g0.T,
-        mp.a1,
-        mp.g1 @ mp.g1.T,
-        mp.h1.T @ mp.h1,
-    )
-
-
-def _branch_step(blocks, p: np.ndarray, got: np.ndarray) -> None:
-    """Advance the stack ``p`` one step in place: the measurement branch
-    where ``got`` is true, the open-loop branch elsewhere."""
-    a0, w0, a1, w1, k1 = blocks
-    if got.all():
-        p[...] = _gamma1_update(a1, w1, k1, p)
-    elif not got.any():
-        p[...] = _gamma0_update(a0, w0, p)
-    else:
-        p[got] = _gamma1_update(a1, w1, k1, p[got])
-        lost = ~got
-        p[lost] = _gamma0_update(a0, w0, p[lost])
 
 
 def run_empirical(
@@ -414,7 +379,7 @@ def ergodic_distribution(
     for _ in range(cfg.n_d):
         mats.append(homographic(prep.mp.sym.m0, mats[-1]))
     atoms = tuple(
-        Atom(matrix=m, distance=float(d), mass=float(f), code="0" * i)
+        Atom(matrix=m.entries, distance=float(d), mass=float(f), code="0" * i)
         for i, (m, d, f) in enumerate(zip(mats, prep.ladder, fractions))
     )
     return AtomicDistribution(atoms=atoms, residual_mass=unassigned, method="ergodic")

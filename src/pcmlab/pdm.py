@@ -42,6 +42,29 @@ def _as_square_array(entries, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def _fails_pd(w_min, w_max):
+    """PDMatrix's eigenvalue rule, elementwise over extreme eigenvalues."""
+    return (w_min <= PD_EIG_RTOL * w_max) | (w_min <= 0.0)
+
+
+def not_positive_definite(mats: np.ndarray) -> np.ndarray:
+    """Mask of the slices of a symmetric stack that ``PDMatrix`` would reject.
+
+    Applies ``PDMatrix``'s rules to every ``(n, n)`` slice of ``mats`` at
+    once: a slice fails when it has a non-finite entry, when
+    ``lambda_min <= 0`` or when ``lambda_min <= PD_EIG_RTOL * lambda_max``.
+    The slices must already be symmetric (the batched branch maps leave them
+    so); only their lower triangles are read.  Returns a boolean array of
+    shape ``mats.shape[:-2]``.
+    """
+    mats = np.asarray(mats, dtype=float)
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    if not finite.all():
+        mats = np.where(finite[..., None, None], mats, np.eye(mats.shape[-1]))
+    w = np.linalg.eigvalsh(mats)
+    return ~finite | _fails_pd(w[..., 0], w[..., -1])
+
+
 @dataclass(frozen=True)
 class PDMatrix:
     """Validated symmetric positive-definite matrix.
@@ -66,7 +89,7 @@ class PDMatrix:
             )
         arr = 0.5 * (arr + arr.T)
         w = np.linalg.eigvalsh(arr)
-        if w[0] <= PD_EIG_RTOL * w[-1] or w[0] <= 0.0:
+        if _fails_pd(w[0], w[-1]):
             raise NotPositiveDefiniteError(
                 f"matrix is not positive definite: eigenvalue range "
                 f"[{w[0]:.3e}, {w[-1]:.3e}]"

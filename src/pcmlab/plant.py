@@ -6,7 +6,9 @@ parametric model errors.  All of that machinery collapses into an equivalent
 and a transition/noise/output triple for the received-measurement branch.
 This module computes the sensitivity stacks, every named intermediate, and
 the final branch matrices, and runs the structural (controllability /
-observability) checks the convergence theory requires.
+observability) checks the convergence theory requires.  It also holds the
+batched branch-map kernel (``_gamma0_update`` / ``_gamma1_update``) that the
+Monte-Carlo runs and the reachable-set enumeration apply to stacks of PCMs.
 """
 
 from __future__ import annotations
@@ -143,6 +145,48 @@ class ModifiedPlant:
     @property
     def n(self) -> int:
         return self.a0.shape[0]
+
+
+def _gamma0_update(a0: np.ndarray, w0: np.ndarray, p: np.ndarray) -> np.ndarray:
+    out = a0 @ p @ a0.T + w0
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _gamma1_update(
+    a1: np.ndarray, w1: np.ndarray, k1: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Batched measurement update ``z (I + k1 z)^{-1}`` with ``z`` the
+    predicted matrix; algebraically the homographic measurement branch."""
+    z = a1 @ p @ a1.T + w1
+    eye = np.eye(a1.shape[0])
+    lhs = eye + k1 @ z
+    out = np.linalg.solve(np.swapaxes(lhs, -1, -2), np.swapaxes(z, -1, -2))
+    out = np.swapaxes(out, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def _branch_blocks(mp: ModifiedPlant):
+    return (
+        mp.a0,
+        mp.g0 @ mp.g0.T,
+        mp.a1,
+        mp.g1 @ mp.g1.T,
+        mp.h1.T @ mp.h1,
+    )
+
+
+def _branch_step(blocks, p: np.ndarray, got: np.ndarray) -> None:
+    """Advance the stack ``p`` one step in place: the measurement branch
+    where ``got`` is true, the open-loop branch elsewhere."""
+    a0, w0, a1, w1, k1 = blocks
+    if got.all():
+        p[...] = _gamma1_update(a1, w1, k1, p)
+    elif not got.any():
+        p[...] = _gamma0_update(a0, w0, p)
+    else:
+        p[got] = _gamma1_update(a1, w1, k1, p[got])
+        lost = ~got
+        p[lost] = _gamma0_update(a0, w0, p[lost])
 
 
 @dataclass(frozen=True)

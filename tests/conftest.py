@@ -9,6 +9,7 @@ from pcmlab import (
     build_modified_plant,
     prepare,
 )
+from pcmlab.plant import _gamma1_update
 
 # Reference two-state plant used throughout: unstable upper-triangular
 # transition, identity noise input, scalar difference measurement, one
@@ -61,6 +62,23 @@ def random_plant(rng: np.random.Generator, n: int = 2, m: int = 2, p: int = 1, n
         dc=tuple(0.3 * rng.standard_normal((p, n)) for _ in range(n_err)),
         mu=float(rng.uniform(0.5, 1.0)),
     )
+
+
+def negate_first_at_call(call):
+    """Measurement-branch kernel that negates the first matrix it returns on
+    its ``call``-th invocation (depth ``call`` of the expansion), whose word
+    with no pruning is ``"0" * call + "1"``."""
+    real = _gamma1_update
+    count = [0]
+
+    def kernel(a1, w1, k1, p):
+        out = real(a1, w1, k1, p)
+        count[0] += 1
+        if count[0] == call:
+            out[0] = -out[0]
+        return out
+
+    return kernel
 
 
 @pytest.fixture(scope="session")

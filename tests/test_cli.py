@@ -4,7 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pcmlab.stationary as stationary
 from pcmlab.cli import ConfigError, config_digest, load_config, main
+
+from conftest import negate_first_at_call
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_CONFIG = ROOT / "configs" / "paper_section5.json"
@@ -128,6 +131,14 @@ class TestCommands:
         assert run_cli(command, "--config", path, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and message in err
+
+    def test_enumeration_breakdown_exits_3_naming_the_word(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(stationary, "_gamma1_update", negate_first_at_call(2))
+        assert run_cli("approx", "--config", REFERENCE_CONFIG, "--method", "enumerate",
+                       "--max-len", 5, "--eps-p", 1e-30, "--out", tmp_path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "'001' (depth 2)" in err
+        assert not (tmp_path / "atoms.csv").exists()
 
     def test_approx_delta_atoms_roundtrip(self, tmp_path):
         assert run_cli("approx", "--config", REFERENCE_CONFIG, "--method", "delta",

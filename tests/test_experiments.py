@@ -15,10 +15,7 @@ from pcmlab.experiments import (
     ERGODIC_STREAM,
     LN10,
     NonFiniteSampleError,
-    _branch_blocks,
     _ergodic_path,
-    _gamma0_update,
-    _gamma1_update,
     cluster_intervals,
     distances_to,
     ergodic_distribution,
@@ -28,6 +25,7 @@ from pcmlab.experiments import (
     run_empirical,
     run_ergodic,
 )
+from pcmlab.plant import _branch_blocks, _gamma0_update, _gamma1_update
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DESK_CONFIGS = ("paper_section5.json", "paper_section5_moderate.json", "paper_section5_heavy.json")

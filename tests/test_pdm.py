@@ -13,6 +13,7 @@ from pcmlab.pdm import (
     build_symplectic_pair,
     distances_to,
     homographic,
+    not_positive_definite,
     riemannian_distance,
     sym_sqrt,
     sym_sqrt_inv,
@@ -47,6 +48,30 @@ class TestPDMatrix:
         p = PDMatrix.identity(2)
         with pytest.raises(ValueError):
             p.entries[0, 0] = 5.0
+
+    def test_stack_check_follows_constructor_rules(self):
+        rng = np.random.default_rng(7)
+        stack = np.array([
+            np.eye(2),
+            random_pd(rng, 2, spread=3.0),
+            [[1.0, 0.0], [0.0, -2.0]],
+            [[1.0, 0.0], [0.0, 1e-15]],
+            [[1.0, 0.0], [0.0, 2e-12]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[1.0, np.inf], [np.inf, 1.0]],
+        ])
+        rejected = []
+        for mat in stack:
+            try:
+                PDMatrix(mat)
+            except ValueError:
+                rejected.append(True)
+            else:
+                rejected.append(False)
+        assert rejected == [False, False, True, True, False, True, True, True]
+        assert not_positive_definite(stack).tolist() == rejected
+        assert not_positive_definite(stack.reshape(2, 4, 2, 2)).ravel().tolist() == rejected
 
 
 class TestRiemannianDistance:

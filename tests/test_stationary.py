@@ -1,8 +1,13 @@
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcmlab.stationary as stationary
 from pcmlab import (
     BallIndicatorConfig,
     ChannelParams,
@@ -17,11 +22,72 @@ from pcmlab.estimator import pcm_trajectory
 from pcmlab.experiments import (
     cluster_probabilities,
     distribution_clusters,
+    prepare,
     run_ergodic,
 )
-from pcmlab.channel import sample_chain
+from pcmlab.channel import sample_chain, stationary_probability
+from pcmlab.cli import load_config
 from pcmlab.stationary import LN10, Atom, AtomicDistribution, decimal_distance, index_code
-from pcmlab.pdm import riemannian_distance
+from pcmlab.pdm import NotPositiveDefiniteError, homographic, riemannian_distance
+
+from conftest import negate_first_at_call
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def dfs_enumeration(mp, p_star, gamma_st, max_len, eps_p):
+    """Oracle: the depth-first walk that the level-synchronous expansion
+    replaced, one validated ``homographic`` and one scalar distance per node.
+    Returns ``(atoms, residual)`` with the residual summed in walk order."""
+    g = gamma_st
+    atoms = [Atom(matrix=p_star, distance=0.0, mass=g**max_len, code="")]
+    root = homographic(mp.sym.m0, p_star)
+    # DFS over suffixes w (applied after the initial drop); suffix
+    # probability only shrinks along a branch, so pruning is subtree-safe.
+    stack = [(root, "0", 0, 1.0)]
+    while stack:
+        mat, code, depth, p_suffix = stack.pop()
+        if p_suffix < eps_p:
+            # Entire subtree pruned; its mass lands in the residual below.
+            continue
+        mass = g ** (max_len - 1 - depth) * (1.0 - g) * p_suffix
+        atoms.append(
+            Atom(
+                matrix=mat,
+                distance=decimal_distance(mat, p_star),
+                mass=mass,
+                code=code,
+            )
+        )
+        if depth < max_len - 1:
+            stack.append(
+                (homographic(mp.sym.m0, mat), code + "0", depth + 1, p_suffix * (1.0 - g))
+            )
+            stack.append(
+                (homographic(mp.sym.m1, mat), code + "1", depth + 1, p_suffix * g)
+            )
+    # Float the residual so the validated sum is exact.
+    residual = 1.0 - sum(a.mass for a in atoms)
+    return atoms, residual
+
+
+def assert_matches_dfs(mp, p_star, g, max_len, eps_p):
+    """Same codes, bitwise masses, distances within 1e-12, and the residual
+    as the correctly rounded complement of the same masses; returns the
+    level-synchronous distribution."""
+    dist = enumeration_distribution(mp, p_star, g, max_len=max_len, eps_p=eps_p)
+    oracle, oracle_residual = dfs_enumeration(mp, p_star, g, max_len, eps_p)
+    got = {a.code: a for a in dist.atoms}
+    want = {a.code: a for a in oracle}
+    assert len(got) == len(dist.atoms)
+    assert set(got) == set(want)
+    for code, atom in got.items():
+        assert atom.mass == want[code].mass, code
+        assert abs(atom.distance - want[code].distance) <= 1e-12, code
+    assert dist.residual_mass == 1.0 - math.fsum(a.mass for a in oracle)
+    # The walk's left-to-right sum is off by at most one rounding per term.
+    assert abs(dist.residual_mass - oracle_residual) <= len(oracle) * 2.0**-53
+    return dist
 
 
 class TestEnumerateReachable:
@@ -56,6 +122,28 @@ class TestEnumerateReachable:
         for atom in enumerate_reachable(ref_mp, ref_prep.p_star, 4):
             direct = riemannian_distance(atom.matrix, ref_prep.p_star) / LN10
             assert atom.distance == pytest.approx(direct, abs=1e-10)
+
+    def test_largest_n_is_distinct_and_read_only(self, ref_mp, ref_prep):
+        atoms = enumerate_reachable(ref_mp, ref_prep.p_star, 12)
+        assert len(atoms) == 2**12
+        assert len({a.code for a in atoms}) == 2**12
+        assert not atoms[-1].matrix.flags.writeable
+
+    def test_coincident_atoms_rejected(self, ref_mp, ref_prep):
+        atoms = enumerate_reachable(ref_mp, ref_prep.p_star, 4)
+        twin = atoms[5]
+        # A second atom at metric distance ~7e-7 from atom 5: the prefilter
+        # must keep the pair as a candidate and the exact check must fire.
+        near = twin.matrix * (1.0 + 5e-7)
+        to_ref = np.array([riemannian_distance(a.matrix, ref_prep.p_star) for a in atoms])
+        extra = Atom(matrix=near, distance=0.0, mass=0.0, code="twin")
+        extended = np.append(to_ref, riemannian_distance(near, ref_prep.p_star))
+        with pytest.raises(AssertionError, match=f"{twin.code!r} and 'twin'|'twin' and {twin.code!r}"):
+            stationary._assert_distinct(atoms + [extra], extended)
+        far = Atom(matrix=twin.matrix * 1.01, distance=0.0, mass=0.0, code="far")
+        stationary._assert_distinct(
+            atoms + [far], np.append(to_ref, riemannian_distance(far.matrix, ref_prep.p_star))
+        )
 
 
 class TestWeightFormula:
@@ -137,6 +225,47 @@ class TestEnumerationDistribution:
     def test_gamma_bounds(self, ref_mp, ref_prep):
         with pytest.raises(ValueError, match="gamma_st"):
             enumeration_distribution(ref_mp, ref_prep.p_star, 1.0, max_len=5, eps_p=1e-6)
+
+    @pytest.mark.parametrize("config", ["paper_section5.json", "paper_section5_heavy.json"])
+    @pytest.mark.parametrize("eps_p", [1e-9, 1e-30])
+    def test_matches_depth_first_oracle(self, config, eps_p):
+        cfg = load_config(CONFIGS / config)
+        prep = prepare(cfg)
+        g = stationary_probability(cfg.channel)
+        dist = assert_matches_dfs(prep.mp, prep.p_star, g, 12, eps_p)
+        # 1e-9 prunes on both channels; 1e-30 keeps the whole tree.
+        assert (len(dist.atoms) < 2**12) == (eps_p == 1e-9)
+
+    def test_suffix_probability_equal_to_cutoff_is_kept(self, ref_mp, ref_prep):
+        # g = 1/2: suffixes of length 2 have probability 0.25 == eps_p
+        # exactly and are kept; length 3 (0.125) is pruned.
+        dist = assert_matches_dfs(ref_mp, ref_prep.p_star, 0.5, 6, 0.25)
+        lengths = sorted(len(a.code) for a in dist.atoms)
+        assert lengths == [0, 1, 2, 2, 3, 3, 3, 3]
+
+    def test_breakdown_names_word_and_depth(self, ref_mp, ref_prep, monkeypatch):
+        monkeypatch.setattr(stationary, "_gamma1_update", negate_first_at_call(3))
+        with pytest.raises(NotPositiveDefiniteError, match=r"'0001' \(depth 3\)"):
+            enumeration_distribution(ref_mp, ref_prep.p_star, 0.5, max_len=6, eps_p=1e-9)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("config", ["paper_section5.json", "paper_section5_heavy.json"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_agrees_with_ergodic_run_at_max_len_16(self, config, seed):
+        # Both channels are memoryless (alpha = 1 - beta), which is what the
+        # enumeration's i.i.d. arrival law assumes.  The moderate-loss
+        # channel is left out: its arrivals are serially correlated, so the
+        # enumeration misses its cluster masses by about 0.017, the same
+        # cause as the strict moderate-loss xfail of the acceptance gate.
+        cfg = replace(load_config(CONFIGS / config), ergodic_length=200_000, master_seed=seed)
+        prep = prepare(cfg)
+        g = stationary_probability(cfg.channel)
+        dist = enumeration_distribution(prep.mp, prep.p_star, g, max_len=16, eps_p=1e-9)
+        enum_fracs, _ = distribution_clusters(dist, prep.ladder, cfg.n_s)
+        samples, _ = run_ergodic(cfg, prep)
+        mc_fracs, _ = cluster_probabilities(samples, prep.ladder, cfg.n_s)
+        k = min(8, len(prep.ladder))
+        assert np.max(np.abs(enum_fracs[:k] - mc_fracs[:k])) <= 0.01
 
     @pytest.mark.slow
     def test_matches_long_monte_carlo(self, ref_plant, ref_mp, ref_prep):
@@ -239,7 +368,7 @@ class TestAtomicDistributionType:
     def test_mass_violation_rejected(self, ref_prep):
         with pytest.raises(ValueError, match="sum"):
             AtomicDistribution(
-                atoms=(Atom(matrix=ref_prep.p_star, distance=0.0, mass=0.5),),
+                atoms=(Atom(matrix=ref_prep.p_star.entries, distance=0.0, mass=0.5),),
                 residual_mass=0.0,
                 method="delta",
             )
@@ -247,7 +376,7 @@ class TestAtomicDistributionType:
     def test_unknown_method_rejected(self, ref_prep):
         with pytest.raises(ValueError, match="method"):
             AtomicDistribution(
-                atoms=(Atom(matrix=ref_prep.p_star, distance=0.0, mass=1.0),),
+                atoms=(Atom(matrix=ref_prep.p_star.entries, distance=0.0, mass=1.0),),
                 residual_mass=0.0,
                 method="magic",
             )
