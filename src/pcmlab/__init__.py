@@ -47,19 +47,16 @@ from .riccati import (
 from .stationary import (
     Atom,
     AtomicDistribution,
-    BallIndicatorConfig,
     enumerate_reachable,
     enumeration_distribution,
     enumeration_weight,
     delta_distribution,
-    time_average_F,
 )
 
 __all__ = [
     "__version__",
     "Atom",
     "AtomicDistribution",
-    "BallIndicatorConfig",
     "ChannelParams",
     "ClusterTable",
     "ContractionEstimate",
@@ -103,5 +100,4 @@ __all__ = [
     "enumeration_distribution",
     "enumeration_weight",
     "delta_distribution",
-    "time_average_F",
 ]

@@ -28,12 +28,6 @@ class ChannelParams:
         if not (0.0 < self.beta < 1.0):
             raise ValueError(f"beta must lie strictly in (0, 1), got {self.beta}")
 
-    def transition_matrix(self) -> np.ndarray:
-        """Column-stochastic transition matrix acting on (P(1), P(0))."""
-        return np.array(
-            [[self.alpha, 1.0 - self.beta], [1.0 - self.alpha, self.beta]]
-        )
-
 
 @dataclass(frozen=True)
 class RecurrenceStats:

@@ -46,7 +46,7 @@ from .experiments import (
     run_empirical,
     run_ergodic,
 )
-from .pdm import NotPositiveDefiniteError, PDMatrix, SingularMatrixError
+from .pdm import NotPositiveDefiniteError, PDMatrix
 from .plant import NominalPlant, build_modified_plant, check_structure
 from .riccati import ConvergenceError, solve_dare
 from .stationary import LN10, enumeration_distribution, delta_distribution
@@ -227,15 +227,9 @@ def write_manifest(out_dir: Path, command: str, cfg: ExperimentConfig, outputs: 
 
 
 def _cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
-    mp = build_modified_plant(cfg.plant)
-    report = check_structure(mp)
-    if not (report.controllable and report.observable):
-        raise SingularMatrixError(
-            "controllability/observability hypothesis violated: "
-            f"reachability rank {report.ctrb_rank}, observability rank "
-            f"{report.obsv_rank}, state dimension {mp.n}"
-        )
     prep = prepare(cfg)
+    mp = prep.mp
+    report = check_structure(mp)
     payload = {
         "structure": {
             "a0_invertible": report.a0_invertible,

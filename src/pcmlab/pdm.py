@@ -238,16 +238,6 @@ def homographic(phi: np.ndarray, p: PDMatrix | np.ndarray) -> PDMatrix:
     return PDMatrix(0.5 * (out + out.T))
 
 
-def homographic_raw(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Unvalidated homographic transform for hot loops; symmetrizes only."""
-    n = x.shape[-1]
-    num = phi[:n, :n] @ x + phi[:n, n:]
-    den = phi[n:, :n] @ x + phi[n:, n:]
-    out = np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2))
-    out = np.swapaxes(out, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
 def sym_sqrt(p: PDMatrix | np.ndarray) -> np.ndarray:
     """Unique symmetric PD square root via symmetric eigendecomposition."""
     arr = np.asarray(p, dtype=float)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pdm import PDMatrix, homographic, homographic_raw, riemannian_distance
+from .pdm import PDMatrix, homographic, riemannian_distance
 from .plant import ModifiedPlant, check_structure
 from .rng import stream_rng
 
@@ -87,33 +87,32 @@ def solve_dare(
     tol: float = 1e-12,
     max_iter: int = 100_000,
     p0: PDMatrix | None = None,
-    require_structure: bool = True,
 ) -> RiccatiSolution:
     """Stabilizing fixed point of the measurement-branch map.
 
-    Iterates the homographic form (the same audited path the estimator
-    uses) from ``p0`` (default identity) until the Riemannian step size
-    falls below ``tol``.
+    Always checks first that the modified plant is controllable and
+    observable, the hypothesis under which the fixed point exists and the
+    iteration converges.  Then iterates :func:`~pcmlab.pdm.homographic` (the
+    same audited path the estimator uses) from ``p0`` (default identity)
+    until the Riemannian step size falls below ``tol``.
 
     Raises
     ------
     ValueError
-        If ``require_structure`` and the modified plant fails the
-        controllability/observability check (no convergence guarantee).
+        If the modified plant fails the controllability/observability check.
     ConvergenceError
         If ``max_iter`` steps do not reach ``tol``.
     """
-    if require_structure:
-        report = check_structure(mp)
-        if not (report.controllable and report.observable):
-            raise ValueError(
-                "modified plant is not controllable and observable "
-                f"(ranks {report.ctrb_rank}/{report.obsv_rank} of {mp.n}); "
-                "fixed-point convergence is not guaranteed"
-            )
+    report = check_structure(mp)
+    if not (report.controllable and report.observable):
+        raise ValueError(
+            "modified plant is not controllable and observable "
+            f"(ranks {report.ctrb_rank}/{report.obsv_rank} of {mp.n}); "
+            "fixed-point convergence is not guaranteed"
+        )
     p = p0.entries if p0 is not None else np.eye(mp.n)
     m1 = mp.sym.m1
-    return _iterate(lambda x: homographic_raw(m1, x), p, tol, max_iter)
+    return _iterate(lambda x: homographic(m1, x).entries, p, tol, max_iter)
 
 
 def _iterate(step, p: np.ndarray, tol: float, max_iter: int) -> RiccatiSolution:

@@ -3,7 +3,9 @@
 Three complementary routes:
 
 1. time averaging along one ergodic trajectory started at the fixed point
-   (:func:`time_average_F`);
+   (:func:`pcmlab.experiments.run_ergodic`, read out per cluster by
+   :func:`~pcmlab.experiments.cluster_probabilities` and per distance by
+   :func:`~pcmlab.experiments.rate_study`);
 2. weighted enumeration of the finite-horizon reachable set, i.e. the exact
    law of the idealized atom chain pushed ``max_len`` steps forward under the
    stationary arrival probability, with low-probability subtrees pruned into
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import PcmTrajectory
 from .pdm import (
     NotPositiveDefiniteError,
     PDMatrix,
@@ -74,7 +75,7 @@ class AtomicDistribution:
     method: str
 
     def __post_init__(self):
-        if self.method not in ("ergodic", "enumerate", "delta"):
+        if self.method not in ("enumerate", "delta"):
             raise ValueError(f"unknown method {self.method!r}")
         atoms = tuple(sorted(self.atoms, key=lambda a: a.distance))
         total = sum(a.mass for a in atoms) + self.residual_mass
@@ -93,18 +94,6 @@ class AtomicDistribution:
     def cdf(self, epsilon: float) -> float:
         """Total atom mass within decimal-log distance ``epsilon``."""
         return float(sum(a.mass for a in self.atoms if a.distance <= epsilon))
-
-
-@dataclass(frozen=True)
-class BallIndicatorConfig:
-    """Ball radius (canonical natural-log units) around a reference matrix."""
-
-    epsilon: float
-    reference: PDMatrix
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 def _levels(mp: ModifiedPlant, p_star: PDMatrix, depths: int, g: float, eps_p: float):
@@ -342,25 +331,3 @@ def delta_distribution(
         )
     residual = 1.0 - sum(a.mass for a in atoms)
     return AtomicDistribution(atoms=tuple(atoms), residual_mass=residual, method="delta")
-
-
-def time_average_F(traj: PcmTrajectory, config: BallIndicatorConfig, burn_in: int = 0) -> float:
-    """Fraction of trajectory time spent inside the reference ball.
-
-    Estimates the stationary distribution function of the distance to the
-    reference at radius ``config.epsilon`` (canonical units), provided the
-    trajectory started at the fixed point with the arrival chain already
-    stationary.
-    """
-    if traj.distances is not None:
-        distances = np.asarray(traj.distances)
-    else:
-        distances = np.array(
-            [riemannian_distance(p, config.reference) for p in traj.pcms]
-        )
-    if burn_in < 0 or burn_in >= distances.size:
-        raise ValueError(
-            f"burn_in {burn_in} leaves no samples out of {distances.size}"
-        )
-    tail = distances[burn_in:]
-    return float(np.mean(tail <= config.epsilon))

@@ -29,7 +29,9 @@ class TestParams:
         params = ChannelParams(alpha, beta)
         pi1 = stationary_probability(params)
         vec = np.array([pi1, 1.0 - pi1])
-        out = params.transition_matrix() @ vec
+        # Column-stochastic transition matrix acting on (P(1), P(0)).
+        transition = np.array([[alpha, 1.0 - beta], [1.0 - alpha, beta]])
+        out = transition @ vec
         np.testing.assert_allclose(out, vec, atol=1e-14)
 
 

@@ -226,3 +226,51 @@ class TestCommands:
             hist_lines = (out / "histogram.csv").read_text().strip().splitlines()
             assert hist_lines[0] == "bin_lo,bin_hi,count,fraction"
             assert len(hist_lines) == 201
+
+
+# The plant of tests/test_riccati.py::TestSolveDare::test_structure_gate: the
+# input never reaches the second mode, so the modified plant is not
+# controllable.
+UNCONTROLLABLE_PLANT = {
+    "a": [[2.0, 0.0], [0.0, 3.0]],
+    "b": [[1.0], [0.0]],
+    "c": [[1.0, 1.0]],
+    "q": [[1.0]],
+    "r": [[1.0]],
+    "mu": 1.0,
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "compare"])
+def test_structure_gate_exits_2(tmp_path, capsys, command):
+    raw = json.loads(REFERENCE_CONFIG.read_text())
+    raw["plant"] = UNCONTROLLABLE_PLANT
+    path = tmp_path / "uncontrollable.json"
+    path.write_text(json.dumps(raw))
+    assert run_cli(command, "--config", path, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure:") and "controllable" in err
+
+
+# The committed desk tables, each produced by `compare` at its config's
+# master_seed.
+PINNED_TABLES = [
+    ("low_loss", "paper_section5.json"),
+    ("moderate_loss", "paper_section5_moderate.json"),
+    ("heavy_loss", "paper_section5_heavy.json"),
+]
+
+
+class TestPinnedResults:
+    @pytest.mark.parametrize("case, config", PINNED_TABLES)
+    def test_compare_reproduces_results_bytes(self, tmp_path, case, config):
+        assert run_cli("compare", "--config", ROOT / "configs" / config, "--out", tmp_path) == 0
+        pinned = (ROOT / "results" / case / "clusters.csv").read_bytes()
+        assert (tmp_path / "clusters.csv").read_bytes() == pinned
+
+    @pytest.mark.parametrize("case, config", PINNED_TABLES)
+    def test_validate_ladder_is_the_results_distance_column(self, tmp_path, case, config):
+        assert run_cli("validate", "--config", ROOT / "configs" / config, "--out", tmp_path) == 0
+        ladder = json.loads((tmp_path / "validate.json").read_text())["distance_ladder"]
+        rows = (ROOT / "results" / case / "clusters.csv").read_text().splitlines()[1:-1]
+        assert ladder == [float(row.split(",")[0]) for row in rows]

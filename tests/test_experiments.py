@@ -18,7 +18,6 @@ from pcmlab.experiments import (
     _ergodic_path,
     cluster_intervals,
     distances_to,
-    ergodic_distribution,
     make_histogram,
     prepare,
     rate_study,
@@ -281,11 +280,6 @@ class TestCompareTable:
         assert 0.0 <= table.unassigned_ergodic <= 1.0
         total = table.delta_approx.sum() + table.unassigned_delta
         assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_ergodic_distribution_conserves_mass(self, ref_cfg, ref_prep):
-        dist = ergodic_distribution(ref_cfg, ref_prep)
-        assert dist.method == "ergodic"
-        assert sum(a.mass for a in dist.atoms) + dist.residual_mass == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.fixture(scope="module")

@@ -9,23 +9,20 @@ from hypothesis import strategies as st
 
 import pcmlab.stationary as stationary
 from pcmlab import (
-    BallIndicatorConfig,
     ChannelParams,
     ExperimentConfig,
     enumerate_reachable,
     enumeration_distribution,
     enumeration_weight,
     delta_distribution,
-    time_average_F,
 )
-from pcmlab.estimator import pcm_trajectory
 from pcmlab.experiments import (
     cluster_probabilities,
     distribution_clusters,
     prepare,
     run_ergodic,
 )
-from pcmlab.channel import sample_chain, stationary_probability
+from pcmlab.channel import stationary_probability
 from pcmlab.cli import load_config
 from pcmlab.stationary import LN10, Atom, AtomicDistribution, decimal_distance, index_code
 from pcmlab.pdm import NotPositiveDefiniteError, homographic, riemannian_distance
@@ -318,23 +315,6 @@ class TestDeltaDistribution:
 
 
 class TestTimeAverage:
-    def test_all_arrivals_gives_one(self, ref_mp, ref_prep):
-        traj = pcm_trajectory(ref_mp, ref_prep.p_star, np.ones(50, dtype=np.uint8), ref_prep.p_star)
-        cfg = BallIndicatorConfig(epsilon=1e-9, reference=ref_prep.p_star)
-        assert time_average_F(traj, cfg) == 1.0
-
-    def test_radius_covering_everything_gives_one(self, ref_mp, ref_prep):
-        word = sample_chain(ChannelParams(0.95, 0.05), 0.95, 200, seed=12)[1:]
-        traj = pcm_trajectory(ref_mp, ref_prep.p_star, word, ref_prep.p_star)
-        cfg = BallIndicatorConfig(epsilon=float(np.max(traj.distances)) + 1.0, reference=ref_prep.p_star)
-        assert time_average_F(traj, cfg) == 1.0
-
-    def test_burn_in_bounds(self, ref_mp, ref_prep):
-        traj = pcm_trajectory(ref_mp, ref_prep.p_star, [1, 1], ref_prep.p_star)
-        cfg = BallIndicatorConfig(epsilon=1.0, reference=ref_prep.p_star)
-        with pytest.raises(ValueError, match="burn_in"):
-            time_average_F(traj, cfg, burn_in=3)
-
     def test_reference_low_loss_fraction(self, ref_plant, ref_prep):
         # Half the first orbit distance separates the fixed-point cluster
         # from everything else; the time fraction inside it is the arrival
@@ -347,15 +327,6 @@ class TestTimeAverage:
         eps = ref_prep.ladder[1] / 2.0
         fraction = float(np.mean(samples <= eps))
         assert fraction == pytest.approx(0.95044, abs=0.01)
-
-    def test_monotone_in_radius(self, ref_mp, ref_prep):
-        word = sample_chain(ChannelParams(0.9, 0.2), 0.9, 500, seed=13)[1:]
-        traj = pcm_trajectory(ref_mp, ref_prep.p_star, word, ref_prep.p_star)
-        values = [
-            time_average_F(traj, BallIndicatorConfig(epsilon=e, reference=ref_prep.p_star))
-            for e in np.linspace(1e-3, 5.0, 12)
-        ]
-        assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestAtomicDistributionType:
