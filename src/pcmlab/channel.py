@@ -29,16 +29,6 @@ class ChannelParams:
             raise ValueError(f"beta must lie strictly in (0, 1), got {self.beta}")
 
 
-@dataclass(frozen=True)
-class RecurrenceStats:
-    """Empirical recurrence summary of one state within a binary word."""
-
-    state: int
-    mean_recurrence: float
-    visit_fraction: float
-    sigma_hat: float
-
-
 def stationary_probability(params: ChannelParams) -> float:
     """Stationary probability of arrival, ``(1 - beta) / (2 - alpha - beta)``."""
     return (1.0 - params.beta) / (2.0 - params.alpha - params.beta)
@@ -101,37 +91,3 @@ def sample_chain_batch(
         state = u[:, k] < np.where(state, a, nb)
         words[:, k] = state
     return words
-
-
-def recurrence_stats(word, state: int) -> RecurrenceStats:
-    """Empirical recurrence time, visit fraction, and cycle dispersion.
-
-    ``mean_recurrence`` averages the gaps between successive entrances into
-    ``state``; ``visit_fraction`` is the plain occupation frequency; and
-    ``sigma_hat`` is the sample standard deviation of the per-cycle visit
-    count minus ``visit_fraction`` times the cycle length (the dispersion
-    quantity whose positivity the averaging theory needs).
-
-    Raises
-    ------
-    ValueError
-        If ``state`` occurs fewer than twice (no complete cycle).
-    """
-    arr = np.asarray(word).astype(np.int64).ravel()
-    if state not in (0, 1):
-        raise ValueError("state must be 0 or 1")
-    hits = np.flatnonzero(arr == state)
-    if hits.size < 2:
-        raise ValueError(f"state {state} occurs fewer than twice; no recurrence data")
-    gaps = np.diff(hits)
-    visit_fraction = hits.size / arr.size
-    # Per-cycle sum of the indicator is 1 by construction (one entrance per
-    # cycle), so the compensated cycle statistic is 1 - visit_fraction * gap.
-    comp = 1.0 - visit_fraction * gaps
-    sigma_hat = float(np.std(comp, ddof=1)) if gaps.size > 1 else 0.0
-    return RecurrenceStats(
-        state=state,
-        mean_recurrence=float(np.mean(gaps)),
-        visit_fraction=float(visit_fraction),
-        sigma_hat=sigma_hat,
-    )

@@ -416,15 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
+    """Apply the command-line overrides; an invalid value raises :class:`ConfigError`."""
     from dataclasses import replace
 
-    channel = cfg.channel
-    if args.alpha is not None or args.beta is not None:
-        channel = ChannelParams(
-            alpha=args.alpha if args.alpha is not None else channel.alpha,
-            beta=args.beta if args.beta is not None else channel.beta,
-        )
-    updates = {"channel": channel}
+    updates = {}
     if args.seed is not None:
         updates["master_seed"] = args.seed
     if args.trials is not None:
@@ -433,7 +428,15 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["horizon"] = args.horizon
     if args.ergodic_length is not None:
         updates["ergodic_length"] = args.ergodic_length
-    return replace(cfg, **updates)
+    try:
+        if args.alpha is not None or args.beta is not None:
+            updates["channel"] = ChannelParams(
+                alpha=args.alpha if args.alpha is not None else cfg.channel.alpha,
+                beta=args.beta if args.beta is not None else cfg.channel.beta,
+            )
+        return replace(cfg, **updates)
+    except ValueError as exc:
+        raise ConfigError(f"command-line override: {exc}") from exc
 
 
 def dispatch(command: str, cfg: ExperimentConfig, args, out_dir) -> int:

@@ -14,10 +14,10 @@ on whether the measurement arrived.  Two numeric paths evaluate those maps:
 The two agree to about 5e-15 per step but not bit for bit, so neither
 replaces the other silently: the committed ``results/`` tables and the
 benchmark's reference pin the bits of the fixed point and the ladder.  The
-two direct algebraic forms below are kept as independent cross-check
-oracles.  The PCM law does not depend on the measured data, only on the
-arrival word, which is what every stationary-distribution computation
-downstream exploits.
+two direct algebraic forms below are the acceptance gate's independent
+cross-checks of the homographic path.  The PCM law does not depend on the
+measured data, only on the arrival word, which is what every
+stationary-distribution computation downstream exploits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pdm import PDMatrix, homographic, riemannian_distance
+from .pdm import PDMatrix, homographic
 from .plant import ModifiedPlant, NominalPlant, sensitivity_matrices
 from .rng import stream_rng
 
@@ -45,21 +45,6 @@ class EstimatorState:
             raise ValueError(f"x_hat has length {x.shape[0]}, PCM dim {self.p.dim}")
         x.setflags(write=False)
         object.__setattr__(self, "x_hat", x)
-
-
-@dataclass(frozen=True)
-class PcmTrajectory:
-    """A PCM path driven by an arrival word, with optional reference distances.
-
-    ``pcms[k]`` is the PCM after the first ``k`` symbols of ``word``
-    (``pcms[0]`` is the initial value); ``distances[k]`` is the Riemannian
-    distance to the reference when one was supplied.
-    """
-
-    initial: PDMatrix
-    word: np.ndarray
-    pcms: tuple
-    distances: np.ndarray | None = None
 
 
 def pcm_step(mp: ModifiedPlant, p: PDMatrix, gamma: int) -> PDMatrix:
@@ -162,27 +147,6 @@ def filter_step(
     return EstimatorState(x_hat=x_next, p=p_next, k=st.k + 1)
 
 
-def pcm_trajectory(
-    mp: ModifiedPlant,
-    p0: PDMatrix,
-    word,
-    reference: PDMatrix | None = None,
-) -> PcmTrajectory:
-    """Iterate the PCM recursion along a finite arrival word.
-
-    Returns the full PCM path (initial value included) and, when a reference
-    matrix is supplied, the per-step Riemannian distances to it.
-    """
-    word = np.asarray(word, dtype=np.uint8).ravel()
-    pcms = [p0]
-    for gamma in word:
-        pcms.append(pcm_step(mp, pcms[-1], int(gamma)))
-    distances = None
-    if reference is not None:
-        distances = np.array([riemannian_distance(p, reference) for p in pcms])
-    return PcmTrajectory(initial=p0, word=word, pcms=tuple(pcms), distances=distances)
-
-
 def simulate_trajectory(
     plant: NominalPlant,
     mp: ModifiedPlant,
@@ -196,8 +160,8 @@ def simulate_trajectory(
 
     Demo-only driver: Gaussian process/measurement noise with the configured
     covariances, nominal (zero-error) dynamics.  The PCM path it produces is
-    identical to :func:`pcm_trajectory` on the same word, since the PCM never
-    looks at the data.
+    identical to iterating :func:`pcm_step` along the same word, since the PCM
+    never looks at the data.
 
     Returns
     -------

@@ -31,7 +31,7 @@ from .plant import (
     build_modified_plant,
 )
 from .riccati import orbit_distances, solve_dare
-from .stationary import LN10, AtomicDistribution, delta_distribution
+from .stationary import LN10, delta_distribution
 
 # Stream offsets reserved for non-trial chains (trials take 0..trials-1).
 ERGODIC_STREAM = 1 << 48
@@ -343,23 +343,6 @@ def cluster_probabilities(
     return fractions, float(1.0 - fractions.sum())
 
 
-def distribution_clusters(
-    dist: AtomicDistribution, distances: np.ndarray, n_s: int
-) -> tuple[np.ndarray, float]:
-    """Cluster masses of an atomic distribution under the same intervals."""
-    fractions = np.zeros(len(distances))
-    assigned = 0.0
-    intervals = cluster_intervals(distances, n_s)
-    for atom in dist.atoms:
-        for i, (lo, hi, closed_lo) in enumerate(intervals):
-            inside = (atom.distance >= lo) if closed_lo else (atom.distance > lo)
-            if inside and atom.distance <= hi:
-                fractions[i] += atom.mass
-                assigned += atom.mass
-                break
-    return fractions, float(1.0 - assigned)
-
-
 def compare_table(cfg: ExperimentConfig, prep: PreparedPlant | None = None) -> ClusterTable:
     """Three-column cluster table: delta lumping, ergodic run, empirical run."""
     if prep is None:
@@ -396,9 +379,12 @@ def rate_study(
     reference run), evaluates the running distribution function on the
     cluster-boundary grid at each checkpoint, and reports the sup gap to the
     full-length reference together with the gap divided by
-    ``(ln n / n)^(1/4)``.
+    ``(ln n / n)^(1/4)``.  Checkpoints must be at least 2, where that
+    envelope is finite and positive.
     """
     checkpoints = [int(c) for c in checkpoints]
+    if any(c < 2 for c in checkpoints):
+        raise ValueError(f"checkpoints must be at least 2, got {min(checkpoints)}")
     if any(c2 <= c1 for c1, c2 in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly increasing")
     if checkpoints and checkpoints[-1] > cfg.effective_ergodic_length:

@@ -203,41 +203,6 @@ def _assert_distinct(atoms, to_ref: np.ndarray, min_delta: float = 1e-6) -> None
                 )
 
 
-def index_code(j: int) -> tuple:
-    """Little-endian binary code used by the closed-form enumeration weight.
-
-    For ``j >= 2`` the code has ``ceil(log2 j)`` bits and encodes
-    ``j - 1 - 2**(bits - 1)``; for ``j == 1`` it is empty.
-    """
-    if j < 1:
-        raise ValueError("index must be >= 1")
-    if j == 1:
-        return ()
-    s = (j - 1).bit_length()
-    m = j - 1 - (1 << (s - 1))
-    return tuple((m >> i) & 1 for i in range(s))
-
-
-def enumeration_weight(j: int, n: int, gamma_st: float) -> float:
-    """Literal closed-form enumeration weight of atom ``j`` at horizon ``n``.
-
-    Evaluates ``(1 - g^(n-s)) * g^(#ones) * (1-g)^(s-#ones)`` where
-    ``s = ceil(log2 j)`` and the bits come from :func:`index_code`.  No
-    normalization is applied: summed over all ``j`` these behave like
-    expected visit counts rather than a probability law (the ``j = 1`` atom
-    alone carries ``1 - g^n``), which is why the distribution builder below
-    uses the normalized horizon law instead.  Exposed for comparison.
-    """
-    if not (0.0 < gamma_st < 1.0):
-        raise ValueError("gamma_st must lie in (0, 1)")
-    if not 1 <= j <= 2**n:
-        raise ValueError(f"index {j} outside [1, 2^{n}]")
-    code = index_code(j)
-    s = len(code)
-    ones = sum(code)
-    return (1.0 - gamma_st ** (n - s)) * gamma_st**ones * (1.0 - gamma_st) ** (s - ones)
-
-
 def enumeration_distribution(
     mp: ModifiedPlant,
     p_star: PDMatrix,

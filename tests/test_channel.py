@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmlab import ChannelParams, recurrence_stats, sample_chain, stationary_probability
-from pcmlab.channel import sample_chain_batch
+from pcmlab import ChannelParams
+from pcmlab.channel import sample_chain, sample_chain_batch, stationary_probability
 from pcmlab.rng import stream_rng
 
 probs = st.floats(min_value=0.01, max_value=0.99)
@@ -109,55 +109,3 @@ class TestSampleChain:
                 assert sample_chain(params, init_p1, length, seed, stream=seed + 3).tobytes() == (
                     step_loop_chain(params, init_p1, length, seed, stream=seed + 3).tobytes()
                 )
-
-
-class TestRecurrence:
-    def test_constant_word(self):
-        stats = recurrence_stats(np.ones(100, dtype=int), 1)
-        assert stats.mean_recurrence == 1.0
-        assert stats.visit_fraction == 1.0
-
-    def test_alternating_word(self):
-        word = np.tile([1, 0], 50)
-        stats = recurrence_stats(word, 1)
-        assert stats.mean_recurrence == 2.0
-        assert stats.visit_fraction == 0.5
-
-    def test_recurrence_reciprocal_identity(self):
-        # visit fraction times mean recurrence tends to one.
-        params = ChannelParams(0.95, 0.05)
-        w = sample_chain(params, 0.95, 10**5, seed=9)
-        for state in (0, 1):
-            stats = recurrence_stats(w, state)
-            assert stats.visit_fraction * stats.mean_recurrence == pytest.approx(1.0, abs=0.02)
-
-    def test_mean_recurrence_reference(self):
-        params = ChannelParams(0.95, 0.05)
-        w = sample_chain(params, 0.95, 10**5, seed=10)
-        stats = recurrence_stats(w, 1)
-        assert stats.mean_recurrence == pytest.approx(1.0 / 0.95, rel=0.02)
-
-    def test_insufficient_data_rejected(self):
-        with pytest.raises(ValueError, match="fewer than twice"):
-            recurrence_stats([1, 0, 0, 0], 1)
-        with pytest.raises(ValueError, match="fewer than twice"):
-            recurrence_stats([0, 0, 0], 1)
-
-    def test_cycle_dispersion(self):
-        # alternating word: every compensated cycle statistic is exactly 0
-        stats = recurrence_stats(np.tile([1, 0], 50), 1)
-        assert stats.sigma_hat == 0.0
-        # irregular word has genuinely dispersed cycle lengths
-        w = sample_chain(ChannelParams(0.7, 0.6), 0.5, 5000, seed=14)
-        assert recurrence_stats(w, 1).sigma_hat > 0.0
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=5, max_size=60))
-    def test_visit_fraction_definition(self, bits):
-        word = np.array(bits)
-        for state in (0, 1):
-            if np.count_nonzero(word == state) < 2:
-                continue
-            stats = recurrence_stats(word, state)
-            assert stats.visit_fraction == pytest.approx(np.mean(word == state))
-            assert stats.mean_recurrence >= 1.0

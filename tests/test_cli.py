@@ -217,6 +217,29 @@ class TestCommands:
         assert lines[0] == "n,sup_gap,envelope_ratio"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("checkpoint", ["-5", "0", "1"])
+    def test_rate_rejects_checkpoints_below_two(self, tmp_path, capsys, checkpoint):
+        # n = 1 would give an infinite envelope ratio, n = 0 a NaN one, and
+        # a negative n would read the running average from the end of the run.
+        assert run_cli("rate", "--config", REFERENCE_CONFIG, "--ergodic-length", 2000,
+                       f"--checkpoints={checkpoint},10", "--out", tmp_path) == 2
+        assert "checkpoints must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "rate.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"),
+        ("--horizon", "0"),
+        ("--ergodic-length", "0"),
+        ("--alpha", "1.5"),
+        ("--beta", "0"),
+    ])
+    def test_invalid_override_exits_2(self, tmp_path, capsys, flag, value):
+        assert run_cli("compare", "--config", REFERENCE_CONFIG, flag, value,
+                       "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: command-line override:")
+        assert "Traceback" not in err
+
     def test_ergodic_and_empirical_commands(self, tmp_path):
         for cmd in ("empirical", "ergodic"):
             out = tmp_path / cmd

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pcmlab import PDMatrix, pcm_step, pcm_trajectory, riemannian_distance, filter_step
+from pcmlab import PDMatrix, pcm_step, riemannian_distance
 from pcmlab.estimator import (
     EstimatorState,
+    filter_step,
     pcm_update_compact_form,
     pcm_update_hat_form,
     simulate_trajectory,
@@ -11,6 +12,7 @@ from pcmlab.estimator import (
 from pcmlab.plant import build_modified_plant
 
 from conftest import random_pd, random_plant
+from oracles import pcm_trajectory
 
 
 class TestPcmStep:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcmlab.experiments as experiments
-from pcmlab import ChannelParams, ExperimentConfig, cluster_probabilities, compare_table
+from pcmlab import ChannelParams, ExperimentConfig
 from pcmlab.channel import sample_chain, stationary_probability
 from pcmlab.cli import load_config
 from pcmlab.experiments import (
@@ -17,6 +17,8 @@ from pcmlab.experiments import (
     NonFiniteSampleError,
     _ergodic_path,
     cluster_intervals,
+    cluster_probabilities,
+    compare_table,
     distances_to,
     make_histogram,
     prepare,

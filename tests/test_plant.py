@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pcmlab import PDMatrix, build_modified_plant, check_structure, sensitivity_matrices
+from pcmlab import PDMatrix, build_modified_plant
 from pcmlab.pdm import SingularMatrixError
-from pcmlab.plant import NominalPlant
+from pcmlab.plant import NominalPlant, check_structure, sensitivity_matrices
 
 from conftest import make_reference_plant, random_plant
 

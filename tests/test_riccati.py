@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from pcmlab import (
-    PDMatrix,
-    estimate_contraction,
-    orbit_distances,
-    riemannian_distance,
-    solve_dare,
-    solve_lyapunov,
-)
+from pcmlab import PDMatrix, riemannian_distance, solve_dare
 from pcmlab.channel import ChannelParams, sample_chain
-from pcmlab.estimator import pcm_trajectory
-from pcmlab.riccati import _tangent_perturbation, riccati_map, solve_dare_direct
+from pcmlab.riccati import orbit_distances
 
 from conftest import REF_P_STAR
+from oracles import (
+    _tangent_perturbation,
+    estimate_contraction,
+    pcm_trajectory,
+    riccati_map,
+    solve_dare_direct,
+)
 
 
 class TestSolveDare:
@@ -61,38 +60,6 @@ class TestSolveDare:
 
         with pytest.raises(ConvergenceError):
             solve_dare(ref_mp, tol=1e-12, max_iter=3)
-
-
-class TestLyapunov:
-    def test_zero_dynamics(self):
-        sol = solve_lyapunov(np.zeros((2, 2)), np.eye(2))
-        np.testing.assert_allclose(sol.entries, np.eye(2), atol=1e-12)
-
-    def test_scalar_geometric_series(self):
-        sol = solve_lyapunov([[0.5]], [[1.0]])
-        assert sol.entries[0, 0] == pytest.approx(4.0 / 3.0, abs=1e-12)
-
-    def test_unstable_open_loop_has_no_solution(self, ref_mp):
-        assert solve_lyapunov(ref_mp.a0, ref_mp.g0) is None
-
-    def test_residual_small(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            a = rng.standard_normal((3, 3))
-            a *= 0.8 / np.max(np.abs(np.linalg.eigvals(a)))
-            g = rng.standard_normal((3, 2))
-            p = solve_lyapunov(a, g).entries
-            resid = np.linalg.norm(p - a @ p @ a.T - g @ g.T) / np.linalg.norm(p)
-            assert resid <= 1e-9
-
-    def test_large_dimension_series_fallback(self):
-        rng = np.random.default_rng(32)
-        a = rng.standard_normal((35, 35))
-        a *= 0.9 / np.max(np.abs(np.linalg.eigvals(a)))
-        g = rng.standard_normal((35, 4))
-        p = solve_lyapunov(a, g).entries
-        resid = np.linalg.norm(p - a @ p @ a.T - g @ g.T) / np.linalg.norm(p)
-        assert resid <= 1e-9
 
 
 @pytest.fixture(scope="module")

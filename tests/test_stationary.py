@@ -4,30 +4,32 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import pcmlab.stationary as stationary
 from pcmlab import (
     ChannelParams,
     ExperimentConfig,
     enumerate_reachable,
-    enumeration_distribution,
-    enumeration_weight,
     delta_distribution,
 )
 from pcmlab.experiments import (
     cluster_probabilities,
-    distribution_clusters,
     prepare,
     run_ergodic,
 )
 from pcmlab.channel import stationary_probability
 from pcmlab.cli import load_config
-from pcmlab.stationary import LN10, Atom, AtomicDistribution, decimal_distance, index_code
+from pcmlab.stationary import (
+    LN10,
+    Atom,
+    AtomicDistribution,
+    decimal_distance,
+    enumeration_distribution,
+)
 from pcmlab.pdm import NotPositiveDefiniteError, homographic, riemannian_distance
 
 from conftest import negate_first_at_call
+from oracles import distribution_clusters
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -141,50 +143,6 @@ class TestEnumerateReachable:
         stationary._assert_distinct(
             atoms + [far], np.append(to_ref, riemannian_distance(far.matrix, ref_prep.p_star))
         )
-
-
-class TestWeightFormula:
-    def test_first_index_empty_bit_sum(self):
-        # s = 0 for j = 1: the weight collapses to 1 - g^n.
-        assert enumeration_weight(1, 100, 0.95) == pytest.approx(1.0 - 0.95**100, rel=1e-12)
-
-    def test_hand_value_j2(self):
-        w = enumeration_weight(2, 100, 0.95)
-        assert w == pytest.approx((1.0 - 0.95**99) * 0.05, rel=1e-12)
-        assert w == pytest.approx(0.04969, abs=1e-5)
-
-    def test_hand_value_j3(self):
-        # decode of 3 - 1 - 2 = 0 gives bits (0, 0)
-        w = enumeration_weight(3, 100, 0.95)
-        assert w == pytest.approx((1.0 - 0.95**98) * 0.05**2, rel=1e-12)
-        assert w == pytest.approx(2.4834e-3, abs=5e-7)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            enumeration_weight(0, 4, 0.5)
-        with pytest.raises(ValueError):
-            enumeration_weight(17, 4, 0.5)
-
-    @settings(max_examples=200, deadline=None)
-    @given(j=st.integers(min_value=1, max_value=4096))
-    def test_index_code_roundtrip(self, j):
-        code = index_code(j)
-        if j == 1:
-            assert code == ()
-        else:
-            s = len(code)
-            assert 2 ** (s - 1) < j <= 2**s
-            assert j == 1 + 2 ** (s - 1) + sum(b << i for i, b in enumerate(code))
-            assert code[-1] == 0  # top bit of an (s-1)-bit payload
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        j=st.integers(min_value=1, max_value=255),
-        n=st.integers(min_value=8, max_value=30),
-        g=st.floats(min_value=0.05, max_value=0.95),
-    )
-    def test_weight_in_unit_interval(self, j, n, g):
-        assert 0.0 <= enumeration_weight(j, n, g) <= 1.0
 
 
 class TestEnumerationDistribution:
