@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import stream_rng
+from .rng import mix64, stream_rng
+
+# Rows of uniforms that sample_chain_batch holds at a time.
+_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -79,15 +82,37 @@ def sample_chain_batch(
     Row ``i`` uses stream ``stream_offset + i`` of ``seed``, so a batch is
     bit-identical to ``n_chains`` separate :func:`sample_chain` calls with the
     same stream indices.  Shape: ``(n_chains, length + 1)``.
+
+    One generator is re-keyed per row (key, counter and buffer set as
+    :func:`stream_rng` leaves them), and the uniforms are drawn ``_CHUNK``
+    rows at a time.  Each uniform is classified by the rule of
+    :func:`sample_chain` into 1, 0 or "follows the previous state", and the
+    last class is resolved column by column in place.
     """
-    u = np.empty((n_chains, length + 1))
-    for i in range(n_chains):
-        u[i] = stream_rng(seed, stream_offset + i).random(length + 1)
     words = np.empty((n_chains, length + 1), dtype=np.uint8)
-    state = u[:, 0] < init_p1
-    words[:, 0] = state
     a, nb = params.alpha, 1.0 - params.beta
-    for k in range(1, length + 1):
-        state = u[:, k] < np.where(state, a, nb)
-        words[:, k] = state
+    lo, hi = min(a, nb), max(a, nb)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    u = np.empty((min(n_chains, _CHUNK), length + 1))
+    for start in range(0, n_chains, _CHUNK):
+        rows = u[: min(_CHUNK, n_chains - start)]
+        for i, row in enumerate(rows, start + stream_offset):
+            state["state"]["key"][:] = (mix64(seed, i), 0)
+            state["state"]["counter"][:] = 0
+            state["buffer_pos"] = 4
+            bitgen.state = state
+            gen.random(out=row)
+        # A step is 1 where u < lo and 0 where u >= hi, whatever the state
+        # before it; in between it is marked 2, to copy or flip that state.
+        out = words[start : start + rows.shape[0]]
+        np.less(rows, lo, out=out, casting="unsafe")
+        np.copyto(out, 2, where=(rows >= lo) & (rows < hi))
+        out[:, 0] = rows[:, 0] < init_p1
+    if lo < hi:
+        flip = np.uint8(a < nb)
+        for k in range(1, length + 1):
+            col = words[:, k]
+            np.copyto(col, words[:, k - 1] ^ flip, where=col == 2)
     return words

@@ -366,7 +366,13 @@ def _cmd_rate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
         checkpoints = [int(tok) for tok in args.checkpoints.split(",")]
     else:
         n = cfg.effective_ergodic_length
-        checkpoints = sorted({max(10, n // 100), max(100, n // 10), n // 2})
+        defaults = {max(10, n // 100), max(100, n // 10), n // 2}
+        checkpoints = sorted(c for c in defaults if 2 <= c <= n)
+        if not checkpoints:
+            raise ValueError(
+                f"ergodic length {n} is too short for a rate study; "
+                "it needs at least 4 steps or explicit --checkpoints"
+            )
     results = rate_study(cfg, checkpoints)
     path = out_dir / "rate.csv"
     write_csv(path, ["n", "sup_gap", "envelope_ratio"], results)

@@ -12,11 +12,17 @@ on whether the measurement arrived.  Two numeric paths evaluate those maps:
   :mod:`pcmlab.experiments` and the reachable-set enumeration.
 
 The two agree to about 5e-15 per step but not bit for bit, so neither
-replaces the other silently: the committed ``results/`` tables and the
-benchmark's reference pin the bits of the fixed point and the ladder.  The
-two direct algebraic forms below are the acceptance gate's independent
-cross-checks of the homographic path.  The PCM law does not depend on the
-measured data, only on the arrival word, which is what every
+replaces the other silently.  That figure holds for PCMs at the scale of
+the fixed point: along 20k-step ergodic paths of the three desk configs the
+2x2 closed form differs from the homographic form by at most 4.8e-15
+relative to the largest entry.  The gap grows with the PCM's scale, as the
+conditioning of the measurement map does, for the LAPACK form as well:
+5e-14 at the empirical start ``1000 * I`` and about 5e-11 at the 1e10
+scales that heavy-loss drop runs reach.  The committed ``results/`` tables
+and the benchmark's reference pin the bits of the fixed point and the
+ladder.  The two direct algebraic forms below are the acceptance gate's
+independent cross-checks of the homographic path.  The PCM law does not
+depend on the measured data, only on the arrival word, which is what every
 stationary-distribution computation downstream exploits.
 """
 

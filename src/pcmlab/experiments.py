@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelParams, sample_chain, sample_chain_batch, stationary_probability
-from .pdm import PDMatrix, distances_to
+from .pdm import NotPositiveDefiniteError, PDMatrix, distances_to, not_positive_definite
 from .plant import (
     ModifiedPlant,
     NominalPlant,
@@ -196,6 +196,12 @@ def run_empirical(
     evolves the PCM from ``init_pcm_scale * I``, and records the decimal-log
     distance of the final PCM to the fixed point.  Trials are evolved as one
     batched array; the result is deterministic in the config.
+
+    When the distances fail because a final PCM breaks ``PDMatrix``'s rules
+    (non-finite entries included), the first such trial is replayed alone
+    and :class:`NotPositiveDefiniteError` names it, the first step at which
+    it breaks the rules and the drop run ending there.  A run whose
+    distances succeed does no checking beyond them.
     """
     seed = cfg.require_seed()
     if prep is None:
@@ -204,13 +210,55 @@ def run_empirical(
     n = prep.mp.n
 
     words = sample_chain_batch(cfg.channel, cfg.init_p1, cfg.horizon, seed, cfg.trials)
-    p = np.broadcast_to(
-        cfg.init_pcm_scale * np.eye(n), (cfg.trials, n, n)
-    ).copy()
-    for k in range(1, cfg.horizon + 1):
-        _branch_step(blocks, p, words[:, k] != 0)
-    samples = distances_to(prep.p_star, p) / LN10
+    p0 = cfg.init_pcm_scale * np.eye(n)
+    p = np.broadcast_to(p0, (cfg.trials, n, n)).copy()
+    # A breakdown lets inf/NaN through the loop; it is found after the run.
+    with np.errstate(all="ignore"):
+        for k in range(1, cfg.horizon + 1):
+            _branch_step(blocks, p, words[:, k] != 0)
+        samples = _checked_distances(prep.p_star, p)
+        if samples is None:
+            raise _empirical_breakdown(blocks, p0, words, p)
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
+
+
+def _checked_distances(p_star: PDMatrix, mats: np.ndarray) -> np.ndarray | None:
+    """Decimal-log distances of ``mats`` to ``p_star``, or None when they
+    fail because a matrix of the stack breaks ``PDMatrix``'s rules."""
+    try:
+        samples = distances_to(p_star, mats) / LN10
+    except NotPositiveDefiniteError:
+        if not_positive_definite(mats).any():
+            return None
+        raise
+    if not np.isfinite(samples).all() and not_positive_definite(mats).any():
+        return None
+    return samples
+
+
+def _drops_before(word: np.ndarray, k: int) -> int:
+    """Number of consecutive drops among steps ``1 .. k`` of ``word`` that
+    end at step ``k``."""
+    arrivals = np.flatnonzero(word[1 : k + 1])
+    return k - 1 - int(arrivals[-1]) if arrivals.size else k
+
+
+def _empirical_breakdown(blocks, p0, words, final) -> NotPositiveDefiniteError:
+    """Name the first trial whose final PCM fails ``PDMatrix``'s rules and the
+    first step at which it fails, found by replaying that trial alone."""
+    bad = np.flatnonzero(not_positive_definite(final))
+    trial = int(bad[0])
+    word = words[trial]
+    p = p0[None].copy()
+    for step in range(1, word.size):
+        _branch_step(blocks, p, word[step : step + 1] != 0)
+        if not_positive_definite(p)[0]:
+            break
+    return NotPositiveDefiniteError(
+        f"empirical trial {trial}: the PCM at step {step} is not positive definite, "
+        f"after {_drops_before(word, step)} consecutive drops; "
+        f"{bad.size} of {len(final)} trials end not positive definite"
+    )
 
 
 def run_ergodic(
@@ -245,6 +293,10 @@ def run_ergodic(
     round, so at most one round per segment runs whatever the values, NaN
     and inf included.  ``_SEGMENT`` and ``_WARMUP`` change the speed only,
     never the result.
+
+    A path whose distances fail because a PCM breaks ``PDMatrix``'s rules
+    raises :class:`NotPositiveDefiniteError` naming the first such step and
+    the drop run ending there.
     """
     seed = cfg.require_seed()
     if prep is None:
@@ -252,8 +304,15 @@ def run_ergodic(
     length = cfg.effective_ergodic_length
     gamma_st = stationary_probability(cfg.channel)
     word = sample_chain(cfg.channel, gamma_st, length, seed, stream=ERGODIC_STREAM)
-    path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
-    samples = distances_to(prep.p_star, path) / LN10
+    with np.errstate(all="ignore"):
+        path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
+        samples = _checked_distances(prep.p_star, path)
+        if samples is None:
+            step = int(np.flatnonzero(not_positive_definite(path))[0])
+            raise NotPositiveDefiniteError(
+                f"ergodic run: the PCM at step {step} is not positive definite, "
+                f"after {_drops_before(word, step)} consecutive drops"
+            )
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
 
 

@@ -6,6 +6,9 @@ quantity that ``pcmlab`` computes another way:
 - :func:`riccati_map` / :func:`solve_dare_direct`: the information-form
   measurement branch and its fixed-point iteration, against
   :func:`pcmlab.riccati.solve_dare`;
+- :func:`gamma0_lapack` / :func:`gamma1_lapack`: the batched branch maps
+  through matrix products and LAPACK solves, for any ``n``, against the
+  closed-form 2x2 branch of :mod:`pcmlab.plant`;
 - :func:`pcm_trajectory`: the PCM recursion along a word, one
   :func:`pcmlab.estimator.pcm_step` at a time, against
   :func:`pcmlab.estimator.simulate_trajectory` and the word products;
@@ -39,6 +42,25 @@ def riccati_map(a1: np.ndarray, g1: np.ndarray, h1: np.ndarray, p: np.ndarray) -
     pred = a1 @ p @ a1.T + g1 @ g1.T
     out = np.linalg.inv(np.linalg.inv(pred) + h1.T @ h1)
     return 0.5 * (out + out.T)
+
+
+def gamma0_lapack(a0: np.ndarray, w0: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Batched open-loop map ``a0 p a0' + w0``, symmetrized."""
+    out = a0 @ p @ a0.T + w0
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def gamma1_lapack(
+    a1: np.ndarray, w1: np.ndarray, k1: np.ndarray, p: np.ndarray
+) -> np.ndarray:
+    """Batched measurement map ``z (I + k1 z)^{-1}``, ``z = a1 p a1' + w1``,
+    through one LAPACK solve per matrix, symmetrized."""
+    z = a1 @ p @ a1.T + w1
+    eye = np.eye(a1.shape[0])
+    lhs = eye + k1 @ z
+    out = np.linalg.solve(np.swapaxes(lhs, -1, -2), np.swapaxes(z, -1, -2))
+    out = np.swapaxes(out, -1, -2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def solve_dare_direct(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcmlab.channel as channel
 from pcmlab import ChannelParams
 from pcmlab.channel import sample_chain, sample_chain_batch, stationary_probability
 from pcmlab.rng import stream_rng
@@ -82,12 +83,17 @@ class TestSampleChain:
         assert np.mean(w) == pytest.approx(0.95, abs=0.01)
 
     def test_batch_matches_single_streams(self):
-        params = ChannelParams(0.8, 0.3)
-        batch = sample_chain_batch(params, 0.7, 200, seed=42, n_chains=5)
-        for i in range(5):
-            np.testing.assert_array_equal(
-                batch[i], sample_chain(params, 0.7, 200, seed=42, stream=i)
-            )
+        # alpha > 1 - beta, alpha < 1 - beta and alpha = 1 - beta; a batch
+        # that crosses a chunk of uniforms; a stream offset; lengths 0 and 1.
+        for alpha, beta in [(0.8, 0.3), (0.2, 0.3), (0.7, 0.3)]:
+            params = ChannelParams(alpha, beta)
+            for n_chains, offset in [(5, 0), (channel._CHUNK + 88, 0), (channel._CHUNK + 88, 12_345)]:
+                for length in (0, 1, 200):
+                    batch = sample_chain_batch(params, 0.7, length, 42, n_chains, offset)
+                    assert batch.shape == (n_chains, length + 1) and batch.dtype == np.uint8
+                    for i in range(n_chains):
+                        want = sample_chain(params, 0.7, length, seed=42, stream=offset + i)
+                        assert batch[i].tobytes() == want.tobytes()
 
     def test_transition_frequencies_match_parameters(self):
         params = ChannelParams(0.80, 0.30)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,18 +120,23 @@ class TestCommands:
 
     @pytest.mark.parametrize("command, message", [
         ("ergodic", "not positive definite"),
-        ("empirical", "Singular matrix"),
+        ("empirical", "not positive definite"),
     ])
     def test_numerical_breakdown_exits_3(self, tmp_path, capsys, command, message):
         # Heavy loss with the transition scaled by 8: long drop runs blow the
-        # PCM up until the linear algebra breaks down.
+        # PCM up until it is no longer positive definite.
         raw = json.loads((ROOT / "configs" / "paper_section5_heavy.json").read_text())
         raw["plant"]["a"] = [[8 * x for x in row] for row in raw["plant"]["a"]]
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(raw))
-        assert run_cli(command, "--config", path, "--out", tmp_path / "o") == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(command, "--config", path, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and message in err
+        assert "step" in err and "drops" in err
+        if command == "empirical":
+            assert "trial" in err
 
     def test_enumeration_breakdown_exits_3_naming_the_word(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(stationary, "_gamma1_update", negate_first_at_call(2))
@@ -216,6 +222,23 @@ class TestCommands:
         lines = (tmp_path / "rate.csv").read_text().strip().splitlines()
         assert lines[0] == "n,sup_gap,envelope_ratio"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("length, checkpoints", [
+        (3, None),
+        (50, [10, 25]),
+        (150, [10, 75, 100]),
+    ])
+    def test_rate_default_checkpoints_fit_the_length(self, tmp_path, capsys, length, checkpoints):
+        code = run_cli("rate", "--config", REFERENCE_CONFIG, "--ergodic-length", length,
+                       "--out", tmp_path)
+        if checkpoints is None:
+            assert code == 2
+            assert f"ergodic length {length}" in capsys.readouterr().err
+            assert not (tmp_path / "rate.csv").exists()
+        else:
+            assert code == 0
+            rows = (tmp_path / "rate.csv").read_text().strip().splitlines()[1:]
+            assert [int(r.split(",")[0]) for r in rows] == checkpoints
 
     @pytest.mark.parametrize("checkpoint", ["-5", "0", "1"])
     def test_rate_rejects_checkpoints_below_two(self, tmp_path, capsys, checkpoint):

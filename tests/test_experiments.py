@@ -26,7 +26,11 @@ from pcmlab.experiments import (
     run_empirical,
     run_ergodic,
 )
+from pcmlab.pdm import NotPositiveDefiniteError, PDMatrix, not_positive_definite
 from pcmlab.plant import _branch_blocks, _gamma0_update, _gamma1_update
+
+from conftest import random_plant
+from oracles import pcm_trajectory
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DESK_CONFIGS = ("paper_section5.json", "paper_section5_moderate.json", "paper_section5_heavy.json")
@@ -181,6 +185,13 @@ class TestErgodic:
 
 def sequential_ergodic(cfg, prep):
     """Oracle: the step-by-step loop that the segmented run replaced."""
+    word, path = sequential_path(cfg, prep)
+    samples = distances_to(prep.p_star, path) / LN10
+    return word, path, samples
+
+
+def sequential_path(cfg, prep):
+    """The ergodic arrival word and the PCM path it drives, one step at a time."""
     a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
     n = a0.shape[0]
 
@@ -197,8 +208,7 @@ def sequential_ergodic(cfg, prep):
             else _gamma0_update(a0, w0, p)
         )
         path[k] = p
-    samples = distances_to(prep.p_star, path) / LN10
-    return word, path, samples
+    return word, path
 
 
 def assert_segmented_exact(cfg, prep):
@@ -251,13 +261,99 @@ class TestSegmentedErgodic:
         # no segment coalesces within the warm-up, re-run rounds accept
         # about one segment each, and the loop still ends within the
         # segment count.
-        raw = json.loads((CONFIGS / "paper_section5_heavy.json").read_text())
-        raw["plant"]["a"] = [[8 * x for x in row] for row in raw["plant"]["a"]]
-        raw["ergodic_length"] = 5 * experiments._SEGMENT
-        path = tmp_path / "overflow.json"
-        path.write_text(json.dumps(raw))
-        cfg = load_config(path)
+        cfg = overflow_config(tmp_path, ergodic_length=5 * experiments._SEGMENT)
         assert assert_segmented_exact(cfg, prepare(cfg)) >= 3
+
+
+def overflow_config(tmp_path, **fields):
+    """The heavy-loss config with the transition scaled by 8: long drop runs
+    take the PCM out of the positive-definite cone."""
+    raw = json.loads((CONFIGS / "paper_section5_heavy.json").read_text())
+    raw["plant"]["a"] = [[8 * x for x in row] for row in raw["plant"]["a"]]
+    raw.update(fields)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    return load_config(path)
+
+
+def consecutive_drops(word, step):
+    drops = 0
+    while step - drops >= 1 and word[step - drops] == 0:
+        drops += 1
+    return drops
+
+
+class TestBreakdown:
+    def test_ergodic_names_first_bad_step(self, tmp_path):
+        # The run fails where the PCM overflows (step 19 849); the step named
+        # is the first one that breaks PDMatrix's rules, much earlier.
+        cfg = overflow_config(tmp_path, ergodic_length=20_000)
+        prep = prepare(cfg)
+        with np.errstate(all="ignore"):
+            word, path = sequential_path(cfg, prep)
+        step = int(np.flatnonzero(not_positive_definite(path))[0])
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            run_ergodic(cfg, prep)
+        assert str(err.value) == (
+            f"ergodic run: the PCM at step {step} is not positive definite, "
+            f"after {consecutive_drops(word, step)} consecutive drops"
+        )
+
+    def test_empirical_names_first_bad_trial_and_step(self, tmp_path):
+        cfg = overflow_config(tmp_path, trials=60, horizon=400)
+        prep = prepare(cfg)
+        a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
+        failing = []
+        for trial in range(cfg.trials):
+            word = sample_chain(cfg.channel, cfg.init_p1, cfg.horizon, cfg.master_seed, stream=trial)
+            p, bad_steps = cfg.init_pcm_scale * np.eye(2), []
+            with np.errstate(all="ignore"):
+                for k in range(1, cfg.horizon + 1):
+                    p = _gamma1_update(a1, w1, k1, p) if word[k] else _gamma0_update(a0, w0, p)
+                    if not_positive_definite(p):
+                        bad_steps.append(k)
+            if bad_steps and bad_steps[-1] == cfg.horizon:
+                failing.append((trial, bad_steps[0], consecutive_drops(word, bad_steps[0])))
+        assert failing
+        trial, step, drops = failing[0]
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            run_empirical(cfg, prep)
+        assert str(err.value) == (
+            f"empirical trial {trial}: the PCM at step {step} is not positive definite, "
+            f"after {drops} consecutive drops; {len(failing)} of {cfg.trials} trials end "
+            "not positive definite"
+        )
+
+
+class TestGeneralPlantSize:
+    """A 3-state plant takes the LAPACK branch of the kernel through the
+    production loops; the homographic recursion is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        plant = random_plant(np.random.default_rng(7), n=3, m=2, p=2, n_err=1)
+        cfg = ExperimentConfig(
+            plant=plant, channel=ChannelParams(0.8, 0.3), trials=12, horizon=40,
+            ergodic_length=300, master_seed=3,
+        )
+        return cfg, prepare(cfg)
+
+    def test_empirical(self, setup):
+        cfg, prep = setup
+        samples, _ = run_empirical(cfg, prep)
+        p0 = PDMatrix(cfg.init_pcm_scale * np.eye(3))
+        for trial in range(cfg.trials):
+            word = sample_chain(cfg.channel, cfg.init_p1, cfg.horizon, cfg.master_seed, stream=trial)
+            want = pcm_trajectory(prep.mp, p0, word[1:], prep.p_star).distances[-1] / LN10
+            assert samples[trial] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_ergodic(self, setup):
+        cfg, prep = setup
+        samples, _ = run_ergodic(cfg, prep)
+        word = sample_chain(cfg.channel, stationary_probability(cfg.channel),
+                            cfg.ergodic_length, cfg.master_seed, stream=ERGODIC_STREAM)
+        want = pcm_trajectory(prep.mp, prep.p_star, word[1:], prep.p_star).distances / LN10
+        np.testing.assert_allclose(samples, want, rtol=1e-9, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,24 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pcmlab import PDMatrix, build_modified_plant
-from pcmlab.pdm import SingularMatrixError
-from pcmlab.plant import NominalPlant, check_structure, sensitivity_matrices
+from pcmlab import PDMatrix, build_modified_plant, prepare
+from pcmlab.channel import sample_chain, stationary_probability
+from pcmlab.cli import load_config
+from pcmlab.experiments import ERGODIC_STREAM, _ergodic_path
+from pcmlab.pdm import SingularMatrixError, homographic
+from pcmlab.plant import (
+    NominalPlant,
+    _branch_blocks,
+    _gamma0_update,
+    _gamma1_update,
+    check_structure,
+    sensitivity_matrices,
+)
 
-from conftest import make_reference_plant, random_plant
+from conftest import make_reference_plant, random_pd, random_plant
+from oracles import gamma0_lapack, gamma1_lapack
 
 
 def kalman_plant(n=2, m=2, p=1, mu=1.0, seed=0):
@@ -185,3 +198,95 @@ class TestNominalPlantValidation:
                 q=PDMatrix(np.eye(2)), r=PDMatrix([[1.0]]),
                 da=(np.zeros((2, 2)),), db=(), dc=(),
             )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BUNDLED_CONFIGS = sorted(CONFIGS.glob("*.json"))
+
+
+def random_pd_stack(rng, n, k, spread):
+    """``k`` random PD matrices whose scales span ``exp(±spread)``."""
+    return np.stack([random_pd(rng, n, spread) for _ in range(k)])
+
+
+def assert_close_per_matrix(got, want, rtol):
+    scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(got - want) <= rtol * scale)
+
+
+class TestBranchKernel:
+    """The closed-form 2x2 branch of ``_gamma0_update`` / ``_gamma1_update``
+    against the LAPACK maps, and the general branch against ``homographic``."""
+
+    def check_2x2(self, mp, p):
+        a0, w0, a1, w1, k1 = _branch_blocks(mp)
+        for got, want in [
+            (_gamma0_update(a0, w0, p), gamma0_lapack(a0, w0, p)),
+            (_gamma1_update(a1, w1, k1, p), gamma1_lapack(a1, w1, k1, p)),
+        ]:
+            assert got.shape == p.shape
+            assert np.array_equal(got[..., 0, 1], got[..., 1, 0])
+            assert_close_per_matrix(got, want, 1e-13)
+
+    @pytest.mark.parametrize("spread", [0.5, 1.0, 3.0])
+    def test_random_plants_and_stacks(self, spread):
+        rng = np.random.default_rng(int(spread * 10))
+        for _ in range(10):
+            mp = build_modified_plant(random_plant(rng))
+            self.check_2x2(mp, random_pd_stack(rng, 2, 200, spread))
+
+    @pytest.mark.parametrize("config", BUNDLED_CONFIGS, ids=lambda p: p.stem)
+    def test_bundled_plants(self, config):
+        prep = prepare(load_config(config))
+        stack = random_pd_stack(np.random.default_rng(5), 2, 500, 1.0)
+        stack[0] = prep.p_star.entries
+        self.check_2x2(prep.mp, stack)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+    def test_large_pcms_as_accurate_as_lapack(self):
+        # Heavy-loss drop runs take the PCM to 1e10 times the fixed point,
+        # where the measurement map itself is ill-conditioned and neither
+        # form keeps 1e-13.  Against the same map in long double the closed
+        # form stays within a small factor of the LAPACK form's error.
+        cfg = load_config(CONFIGS / "paper_section5_heavy.json")
+        prep = prepare(cfg)
+        word = sample_chain(cfg.channel, stationary_probability(cfg.channel), 5000,
+                            cfg.master_seed, stream=ERGODIC_STREAM)
+        path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
+        assert np.abs(path).max() > 1e8
+        a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
+        a, w, k, p = (x.astype(np.longdouble) for x in (a1, w1, k1, path))
+        z = a @ p @ a.T + w
+        m = np.eye(2, dtype=np.longdouble) + k @ z
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        adj = np.stack([m[:, 1, 1], -m[:, 0, 1], -m[:, 1, 0], m[:, 0, 0]], -1)
+        exact = z @ adj.reshape(-1, 2, 2) / det[:, None, None]
+        exact = 0.5 * (exact + np.swapaxes(exact, -1, -2))
+
+        scale = np.abs(exact).max(axis=(1, 2), keepdims=True)
+        closed = float(np.max(np.abs(_gamma1_update(a1, w1, k1, path) - exact) / scale))
+        lapack = float(np.max(np.abs(gamma1_lapack(a1, w1, k1, path) - exact) / scale))
+        assert lapack > 1e-13
+        assert closed <= 4 * lapack
+
+    def test_single_matrix_and_nested_batch(self, ref_mp):
+        # A bare (2, 2) matrix and a (k, m, 2, 2) stack give the slices of
+        # the flat (k*m, 2, 2) result bit for bit.
+        a0, w0, a1, w1, k1 = _branch_blocks(ref_mp)
+        flat = random_pd_stack(np.random.default_rng(9), 2, 12, 2.0)
+        for kernel in (lambda p: _gamma0_update(a0, w0, p),
+                       lambda p: _gamma1_update(a1, w1, k1, p)):
+            out = kernel(flat)
+            assert kernel(flat.reshape(3, 4, 2, 2)).tobytes() == out.tobytes()
+            assert kernel(flat[7]).tobytes() == out[7].tobytes()
+
+    def test_general_branch_matches_homographic(self):
+        rng = np.random.default_rng(11)
+        for n, m, p in [(3, 2, 2), (3, 3, 1), (4, 2, 2)]:
+            mp = build_modified_plant(random_plant(rng, n=n, m=m, p=p, n_err=2))
+            a0, w0, a1, w1, k1 = _branch_blocks(mp)
+            stack = random_pd_stack(rng, n, 20, 1.0)
+            want0 = np.stack([homographic(mp.sym.m0, x).entries for x in stack])
+            want1 = np.stack([homographic(mp.sym.m1, x).entries for x in stack])
+            assert_close_per_matrix(_gamma0_update(a0, w0, stack), want0, 1e-12)
+            assert_close_per_matrix(_gamma1_update(a1, w1, k1, stack), want1, 1e-12)
