@@ -46,7 +46,7 @@ from .experiments import (
     run_empirical,
     run_ergodic,
 )
-from .pdm import NotPositiveDefiniteError, PDMatrix
+from .pdm import NotPositiveDefiniteError, PDMatrix, riemannian_distance
 from .plant import NominalPlant, build_modified_plant, check_structure
 from .riccati import ConvergenceError, solve_dare
 from .stationary import LN10, enumeration_distribution, delta_distribution
@@ -272,8 +272,6 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
         cfg.plant, prep.mp, word[1:], np.zeros(cfg.plant.n), p0,
         seed=seed, stream=SIMULATE_NOISE_STREAM,
     )
-    from .pdm import riemannian_distance
-
     rows = []
     for k in range(cfg.horizon + 1):
         gamma = int(word[k]) if k > 0 else int(word[0])

@@ -9,6 +9,10 @@ quantity that ``pcmlab`` computes another way:
 - :func:`gamma0_lapack` / :func:`gamma1_lapack`: the batched branch maps
   through matrix products and LAPACK solves, for any ``n``, against the
   closed-form 2x2 branch of :mod:`pcmlab.plant`;
+- :func:`scipy_riemannian_distance`: the distance through scipy's
+  generalized symmetric eigensolver (LAPACK ``dsygvd``), against the
+  numpy-only :func:`pcmlab.pdm.riemannian_distance`; it is the one oracle
+  that needs scipy, imported when called;
 - :func:`pcm_trajectory`: the PCM recursion along a word, one
   :func:`pcmlab.estimator.pcm_step` at a time, against
   :func:`pcmlab.estimator.simulate_trajectory` and the word products;
@@ -26,7 +30,7 @@ import numpy as np
 
 from pcmlab.estimator import pcm_step
 from pcmlab.experiments import cluster_intervals
-from pcmlab.pdm import PDMatrix, homographic, riemannian_distance
+from pcmlab.pdm import NotPositiveDefiniteError, PDMatrix, homographic, riemannian_distance
 from pcmlab.plant import ModifiedPlant
 from pcmlab.riccati import ConvergenceError, RiccatiSolution, solve_dare
 from pcmlab.rng import stream_rng
@@ -61,6 +65,25 @@ def gamma1_lapack(
     out = np.linalg.solve(np.swapaxes(lhs, -1, -2), np.swapaxes(z, -1, -2))
     out = np.swapaxes(out, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def scipy_riemannian_distance(p, q) -> float:
+    """Riemannian distance from ``scipy.linalg.eigh(p, q)``'s generalized
+    eigenvalues, as :func:`pcmlab.pdm.riemannian_distance` computed it
+    before pcmlab dropped scipy."""
+    import scipy.linalg
+
+    a = np.asarray(p, dtype=float)
+    b = np.asarray(q, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    try:
+        w = scipy.linalg.eigh(a, b, eigvals_only=True)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise NotPositiveDefiniteError(f"generalized eigenproblem failed: {exc}") from exc
+    if np.any(w <= 0.0):
+        raise NotPositiveDefiniteError("inputs are not a positive-definite pair")
+    return float(np.sqrt(np.sum(np.log(w) ** 2)))
 
 
 def solve_dare_direct(

@@ -1,16 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcmlab.cli import load_config
 from pcmlab.pdm import (
     NotPositiveDefiniteError,
     PDMatrix,
     SingularMatrixError,
     SymplecticPair,
     build_symplectic_pair,
+    _fma,
+    _inv_lower,
     distances_to,
     homographic,
     not_positive_definite,
@@ -18,8 +22,13 @@ from pcmlab.pdm import (
     sym_sqrt,
     sym_sqrt_inv,
 )
+from pcmlab.plant import build_modified_plant
+from pcmlab.riccati import orbit_distances, solve_dare
 
 from conftest import random_pd, random_plant
+from oracles import scipy_riemannian_distance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPDMatrix:
@@ -128,6 +137,131 @@ class TestRiemannianDistance:
         batch = distances_to(ref, mats)
         single = [riemannian_distance(m, ref) for m in mats]
         np.testing.assert_allclose(batch, single, rtol=1e-10)
+
+    @pytest.mark.parametrize("arg", [0, 1])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_finite_input_is_a_numerical_failure(self, arg, bad, dim):
+        pair = [np.eye(dim), 2.0 * np.eye(dim)]
+        pair[arg][dim - 1, 0] = bad
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            riemannian_distance(*pair)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_overflowing_whitening_is_a_numerical_failure(self, dim):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotPositiveDefiniteError, match="eigenproblem failed"):
+                riemannian_distance(1e300 * np.eye(dim), 1e-300 * np.eye(dim))
+
+
+def _random_pd_pairs(count: int, seed: int):
+    """Seeded 2x2 PD pairs, each matrix at a log-uniform scale in [1e-3, 1e8]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        pair = []
+        for scale in 10.0 ** rng.uniform(-3.0, 8.0, size=2):
+            m = rng.standard_normal((2, 2))
+            pair.append(scale * (m @ m.T + 0.1 * np.eye(2)))
+        yield pair
+
+
+def _bundled_distance_pairs():
+    """Every pair the bundled configs measure before any table: each DARE
+    step from the identity to p*, then each ladder rung against p*."""
+    pairs = []
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        cfg = load_config(path)
+        mp = build_modified_plant(cfg.plant)
+        p = np.eye(mp.n)
+        step = np.inf
+        while step >= 1e-12:
+            nxt = homographic(mp.sym.m1, p).entries
+            pairs.append((nxt, p))
+            step = riemannian_distance(nxt, p)
+            p = nxt
+        p_star = p
+        p = p_star
+        for _ in range(cfg.n_d):
+            p = homographic(mp.sym.m0, p).entries
+            pairs.append((p, p_star))
+    return pairs
+
+
+class TestScipyOracle:
+    """The numpy-only distance keeps every bit of scipy's generalized
+    eigensolver for n = 2, the size every pinned table uses."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_scipy(self):
+        pytest.importorskip("scipy.linalg")
+
+    def test_bitwise_on_random_pairs(self):
+        mismatches = [
+            (p, q) for p, q in _random_pd_pairs(5000, seed=10)
+            if riemannian_distance(p, q) != scipy_riemannian_distance(p, q)
+        ]
+        assert not mismatches, f"{len(mismatches)} of 5000 differ, first {mismatches[0]}"
+
+    def test_bitwise_on_bundled_dare_steps_and_ladders(self):
+        pairs = _bundled_distance_pairs()
+        assert len(pairs) > 200
+        for p, q in pairs:
+            assert riemannian_distance(p, q) == scipy_riemannian_distance(p, q)
+
+    def test_ladder_and_fixed_point_match_scipy_route(self, ref_mp):
+        # solve_dare and orbit_distances through the production distance
+        # stop at the same iterate and emit the same rungs as the oracle.
+        sol = solve_dare(ref_mp)
+        p = np.eye(ref_mp.n)
+        for _ in range(sol.iterations):
+            nxt = homographic(ref_mp.sym.m1, p).entries
+            delta = scipy_riemannian_distance(nxt, p)
+            p = nxt
+        assert delta < 1e-12 and delta == sol.final_step_delta
+        np.testing.assert_array_equal(p, sol.p_star.entries)
+        ladder = orbit_distances(ref_mp, sol.p_star, 8)
+        rung = sol.p_star
+        for i in range(1, 9):
+            rung = homographic(ref_mp.sym.m0, rung)
+            assert ladder[i] == scipy_riemannian_distance(rung, sol.p_star)
+
+    def test_inverse_factor_bitwise(self):
+        import scipy.linalg
+
+        for _, q in _random_pd_pairs(5000, seed=11):
+            chol = np.linalg.cholesky(q)
+            expected = scipy.linalg.solve_triangular(chol, np.eye(2), lower=True)
+            np.testing.assert_array_equal(_inv_lower(chol), expected)
+
+    def test_batch_bitwise_for_two_states(self):
+        import scipy.linalg
+
+        pairs = list(_random_pd_pairs(500, seed=12))
+        ref = pairs[0][1]
+        mats = np.stack([p for p, _ in pairs])
+        chol = np.linalg.cholesky(ref)
+        inv_chol = scipy.linalg.solve_triangular(chol, np.eye(2), lower=True)
+        w = np.linalg.eigvalsh(inv_chol @ mats @ inv_chol.T)
+        expected = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+        np.testing.assert_array_equal(distances_to(ref, mats), expected)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_larger_plants_agree(self, dim):
+        rng = np.random.default_rng(400 + dim)
+        for _ in range(200):
+            p = random_pd(rng, dim, spread=3.0)
+            q = random_pd(rng, dim, spread=3.0)
+            assert riemannian_distance(p, q) == pytest.approx(
+                scipy_riemannian_distance(p, q), rel=1e-12
+            )
+
+
+def test_fma_rounds_once():
+    x, y = 1.0 + 2.0**-30, 1.0 - 2.0**-30
+    assert x * y - 1.0 == 0.0  # the unfused product rounds to 1
+    assert _fma(x, y, -1.0) == -(2.0**-60)
+    assert _fma(0.1, 10.0, -1.0) == 2.0**-54
+    assert _fma(3.0, 5.0, 7.0) == 22.0
 
 
 class TestHomographic:

@@ -1,6 +1,8 @@
 """The package's public names and the layer functions the benchmark traces."""
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +47,20 @@ def test_traced_layer_functions_resolve():
     for module, attr, *_ in patches:
         mod = sys.modules[f"pcmlab.{module}"]
         assert callable(getattr(mod, attr, None)), f"pcmlab.{module}.{attr}"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the test oracles; importing it cost every CLI
+    # process most of its start-up time.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "import sys, pcmlab.cli; "
+        "print(' '.join(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == ""
