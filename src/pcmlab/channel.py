@@ -4,6 +4,13 @@ The arrival indicator takes values in {0, 1}; ``alpha`` is the probability of
 staying at 1, ``beta`` the probability of staying at 0.  Both must lie
 strictly inside (0, 1): boundary values would freeze the chain in one state
 and the stationarity results no longer apply.
+
+One rule draws every word: a step with uniform ``u`` is 1 when
+``u < min(alpha, 1 - beta)`` and 0 when ``u >= max(alpha, 1 - beta)``,
+whatever the state before it.  In between it copies that state when
+``alpha > 1 - beta`` and flips it otherwise, so each step is the value of
+the last fixed step at or before it (its anchor), XOR, for flips, the
+parity of the distance to the anchor.
 """
 
 from __future__ import annotations
@@ -12,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import mix64, stream_rng
+from .rng import mix64
 
 # Rows of uniforms that sample_chain_batch holds at a time.
-_CHUNK = 512
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -40,33 +47,8 @@ def stationary_probability(params: ChannelParams) -> float:
 def sample_chain(
     params: ChannelParams, init_p1: float, length: int, seed: int, stream: int = 0
 ) -> np.ndarray:
-    """Sample one chain realization of ``length`` steps after the initial draw.
-
-    The initial state is Bernoulli(``init_p1``); each subsequent state follows
-    the channel transition law.  Output has ``length + 1`` entries (uint8) and
-    is a deterministic function of ``(params, init_p1, length, seed, stream)``.
-    """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    if not (0.0 <= init_p1 <= 1.0):
-        raise ValueError("init_p1 must lie in [0, 1]")
-    u = stream_rng(seed, stream).random(length + 1)
-    a, nb = params.alpha, 1.0 - params.beta
-    lo, hi = min(a, nb), max(a, nb)
-    # Step k is 1 when u[k] < lo and 0 when u[k] >= hi, whatever the state
-    # before it.  In between it copies that state when a > nb and flips it
-    # when a < nb, so each step follows from the last fixed step at or
-    # before it and, for flips, the parity of the distance to that step.
-    fixed = (u < lo) | (u >= hi)
-    fixed[0] = True
-    value = u < lo
-    value[0] = u[0] < init_p1
-    k = np.arange(length + 1)
-    anchor = np.maximum.accumulate(np.where(fixed, k, 0))
-    word = value[anchor]
-    if a < nb:
-        word ^= ((k - anchor) & 1).astype(bool)
-    return word.view(np.uint8)
+    """The one-row case of :func:`sample_chain_batch`, on stream ``stream``."""
+    return sample_chain_batch(params, init_p1, length, seed, 1, stream)[0]
 
 
 def sample_chain_batch(
@@ -77,18 +59,19 @@ def sample_chain_batch(
     n_chains: int,
     stream_offset: int = 0,
 ) -> np.ndarray:
-    """Independent chain realizations, one derived stream per row.
+    """Independent chain realizations, shape ``(n_chains, length + 1)``, uint8.
 
-    Row ``i`` uses stream ``stream_offset + i`` of ``seed``, so a batch is
-    bit-identical to ``n_chains`` separate :func:`sample_chain` calls with the
-    same stream indices.  Shape: ``(n_chains, length + 1)``.
-
-    One generator is re-keyed per row (key, counter and buffer set as
-    :func:`stream_rng` leaves them), and the uniforms are drawn ``_CHUNK``
-    rows at a time.  Each uniform is classified by the rule of
-    :func:`sample_chain` into 1, 0 or "follows the previous state", and the
-    last class is resolved column by column in place.
+    Row ``i`` draws ``length + 1`` uniforms from stream ``stream_offset + i``
+    of ``seed``: the initial state is Bernoulli(``init_p1``) and the later
+    steps follow the anchor and parity rule of the module docstring.  One
+    generator is re-keyed per row (key, counter and buffer set as
+    :func:`pcmlab.rng.stream_rng` leaves them), and the uniforms are drawn
+    and resolved ``_CHUNK`` rows at a time.
     """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    if not (0.0 <= init_p1 <= 1.0):
+        raise ValueError("init_p1 must lie in [0, 1]")
     words = np.empty((n_chains, length + 1), dtype=np.uint8)
     a, nb = params.alpha, 1.0 - params.beta
     lo, hi = min(a, nb), max(a, nb)
@@ -96,6 +79,8 @@ def sample_chain_batch(
     gen = np.random.Generator(bitgen)
     state = bitgen.state
     u = np.empty((min(n_chains, _CHUNK), length + 1))
+    anchors = np.empty(u.shape, dtype=np.intp)
+    k = np.arange(length + 1)
     for start in range(0, n_chains, _CHUNK):
         rows = u[: min(_CHUNK, n_chains - start)]
         for i, row in enumerate(rows, start + stream_offset):
@@ -104,15 +89,18 @@ def sample_chain_batch(
             state["buffer_pos"] = 4
             bitgen.state = state
             gen.random(out=row)
-        # A step is 1 where u < lo and 0 where u >= hi, whatever the state
-        # before it; in between it is marked 2, to copy or flip that state.
         out = words[start : start + rows.shape[0]]
         np.less(rows, lo, out=out, casting="unsafe")
-        np.copyto(out, 2, where=(rows >= lo) & (rows < hi))
         out[:, 0] = rows[:, 0] < init_p1
-    if lo < hi:
-        flip = np.uint8(a < nb)
-        for k in range(1, length + 1):
-            col = words[:, k]
-            np.copyto(col, words[:, k - 1] ^ flip, where=col == 2)
+        if lo < hi:
+            # Index of the last fixed step; column 0 anchors itself as k = 0.
+            anchor = anchors[: rows.shape[0]]
+            np.multiply(k, out | (rows >= hi), out=anchor)
+            np.maximum.accumulate(anchor, axis=1, out=anchor)
+            word = np.take_along_axis(out, anchor, axis=1)
+            if a < nb:
+                np.subtract(k, anchor, out=anchor)
+                anchor &= 1
+                np.bitwise_xor(word, anchor, out=word, casting="unsafe")
+            out[...] = word
     return words

@@ -226,14 +226,11 @@ def _checked_distances(p_star: PDMatrix, mats: np.ndarray) -> np.ndarray | None:
     """Decimal-log distances of ``mats`` to ``p_star``, or None when they
     fail because a matrix of the stack breaks ``PDMatrix``'s rules."""
     try:
-        samples = distances_to(p_star, mats) / LN10
+        return distances_to(p_star, mats) / LN10
     except NotPositiveDefiniteError:
         if not_positive_definite(mats).any():
             return None
         raise
-    if not np.isfinite(samples).all() and not_positive_definite(mats).any():
-        return None
-    return samples
 
 
 def _drops_before(word: np.ndarray, k: int) -> int:

@@ -241,7 +241,10 @@ def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> f
             white = _reduce_2x2(a, chol)
         else:
             inv_chol = _inv_lower(chol)
-            white = inv_chol @ a @ inv_chol.T
+            with np.errstate(over="ignore", invalid="ignore"):
+                white = inv_chol @ a @ inv_chol.T
+        if not np.isfinite(white).all():
+            raise ArithmeticError("the whitened matrix has non-finite entries")
         w = np.linalg.eigvalsh(white)
     except (ArithmeticError, ValueError) as exc:
         # LinAlgError is a ValueError; whitening a pair of extreme scales
@@ -267,16 +270,29 @@ def distances_to(reference: PDMatrix | np.ndarray, mats: np.ndarray) -> np.ndarr
     ndarray
         Distances with shape ``mats.shape[:-2]``.
 
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If a slice is non-finite, or its whitened eigenvalues are not all
+        finite and positive.
+
     Notes
     -----
     Whitens once with the inverse Cholesky factor of ``reference`` and runs a
     batched symmetric eigensolve, so it is the preferred path for sample sets.
     """
+    mats = np.asarray(mats, dtype=float)
+    if not np.isfinite(mats).all():
+        raise NotPositiveDefiniteError("a sample matrix has non-finite entries")
     ref = np.asarray(reference, dtype=float)
     inv_chol = _inv_lower(np.linalg.cholesky(ref))
-    white = inv_chol @ np.asarray(mats, dtype=float) @ inv_chol.T
-    w = np.linalg.eigvalsh(white)
-    if np.any(w <= 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        white = inv_chol @ mats @ inv_chol.T
+    try:
+        w = np.linalg.eigvalsh(white)
+    except np.linalg.LinAlgError as exc:  # an overflowed whitening
+        raise NotPositiveDefiniteError(f"a sample matrix failed to whiten: {exc}") from exc
+    if not ((w > 0.0) & (w < np.inf)).all():
         raise NotPositiveDefiniteError("a sample matrix is not positive definite")
     return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
 

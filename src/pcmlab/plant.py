@@ -128,9 +128,11 @@ class ModifiedPlant:
     """Branch matrices of the equivalent filtering problem plus intermediates.
 
     ``a0, g0`` drive the no-measurement branch; ``a1, g1, h1`` the
-    measurement branch.  The intermediates (``a_check`` through ``r_tilde``)
-    are retained because tests and diagnostics recompute the derivation both
-    ways.  ``sym`` carries the validated symplectic update pair.
+    measurement branch.  The intermediates ``a_check``, ``q_check``,
+    ``b_tilde``, ``q_tilde``, ``c_tilde`` and ``r_tilde`` are retained for
+    :func:`pcmlab.estimator.pcm_update_compact_form` and the tests, which
+    recompute the derivation both ways.  ``sym`` carries the validated
+    symplectic update pair.
     """
 
     a0: np.ndarray
@@ -139,11 +141,8 @@ class ModifiedPlant:
     g1: np.ndarray
     h1: np.ndarray
     lam: float
-    s_mat: np.ndarray
-    t_mat: np.ndarray
     a_check: np.ndarray
     q_check: np.ndarray
-    s_tilde: np.ndarray
     b_tilde: np.ndarray
     q_tilde: np.ndarray
     c_tilde: np.ndarray
@@ -370,11 +369,8 @@ def build_modified_plant(plant: NominalPlant) -> ModifiedPlant:
         g1=g1,
         h1=h1,
         lam=lam,
-        s_mat=s_mat,
-        t_mat=t_mat,
         a_check=a_check,
         q_check=q_check,
-        s_tilde=s_tilde,
         b_tilde=b_tilde,
         q_tilde=q_tilde,
         c_tilde=c_tilde,

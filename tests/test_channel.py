@@ -83,17 +83,23 @@ class TestSampleChain:
         assert np.mean(w) == pytest.approx(0.95, abs=0.01)
 
     def test_batch_matches_single_streams(self):
-        # alpha > 1 - beta, alpha < 1 - beta and alpha = 1 - beta; a batch
-        # that crosses a chunk of uniforms; a stream offset; lengths 0 and 1.
+        # Every row against the step-loop oracle on its own stream: alpha >
+        # 1 - beta, alpha < 1 - beta and alpha = 1 - beta; a batch that
+        # crosses a chunk of uniforms; a stream offset; lengths 0, 1, 2, 200.
         for alpha, beta in [(0.8, 0.3), (0.2, 0.3), (0.7, 0.3)]:
             params = ChannelParams(alpha, beta)
             for n_chains, offset in [(5, 0), (channel._CHUNK + 88, 0), (channel._CHUNK + 88, 12_345)]:
-                for length in (0, 1, 200):
+                for length in (0, 1, 2, 200):
                     batch = sample_chain_batch(params, 0.7, length, 42, n_chains, offset)
                     assert batch.shape == (n_chains, length + 1) and batch.dtype == np.uint8
                     for i in range(n_chains):
-                        want = sample_chain(params, 0.7, length, seed=42, stream=offset + i)
+                        want = step_loop_chain(params, 0.7, length, seed=42, stream=offset + i)
                         assert batch[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("init_p1, length", [(0.5, -1), (-0.5, 10), (1.7, 10)])
+    def test_batch_rejects_bad_length_and_init_probability(self, init_p1, length):
+        with pytest.raises(ValueError):
+            sample_chain_batch(ChannelParams(0.8, 0.3), init_p1, length, 1, 3)
 
     def test_transition_frequencies_match_parameters(self):
         params = ChannelParams(0.80, 0.30)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -149,9 +150,26 @@ class TestRiemannianDistance:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_overflowing_whitening_is_a_numerical_failure(self, dim):
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Raised without a numpy RuntimeWarning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefiniteError, match="eigenproblem failed"):
                 riemannian_distance(1e300 * np.eye(dim), 1e-300 * np.eye(dim))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_batch_rejects_a_non_finite_slice(self, bad):
+        mats = np.stack([np.eye(2), np.eye(2)])
+        mats[1, 0, 0] = bad
+        with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+            distances_to(np.eye(2), mats)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_overflowing_whitening_is_a_numerical_failure(self, dim):
+        mats = np.stack([np.eye(dim), 1e300 * np.eye(dim)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefiniteError):
+                distances_to(1e-300 * np.eye(dim), mats)
 
 
 def _random_pd_pairs(count: int, seed: int):
