@@ -82,6 +82,8 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
@@ -130,7 +132,10 @@ def load_config(path) -> ExperimentConfig:
         entries = plant_raw.get(key, [])
         if not isinstance(entries, list):
             raise ConfigError(f"config.plant.{key} must be a list of matrices")
-        derivs[key] = tuple(np.array(m, dtype=float) for m in entries)
+        try:
+            derivs[key] = tuple(np.array(m, dtype=float) for m in entries)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config.plant.{key} is not a list of numeric matrices: {exc}") from exc
 
     try:
         plant = NominalPlant(
@@ -144,7 +149,7 @@ def load_config(path) -> ExperimentConfig:
             dc=derivs["dc"],
             mu=float(plant_raw.get("mu", 1.0)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.plant: {exc}") from exc
 
     try:
@@ -152,7 +157,7 @@ def load_config(path) -> ExperimentConfig:
             alpha=float(_require(channel_raw, "alpha", "config.channel")),
             beta=float(_require(channel_raw, "beta", "config.channel")),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config.channel: {exc}") from exc
 
     kwargs = {}

@@ -38,12 +38,9 @@ ERGODIC_STREAM = 1 << 48
 SIMULATE_CHAIN_STREAM = (1 << 48) + 1
 SIMULATE_NOISE_STREAM = (1 << 48) + 2
 
-# Segment length and first-round warm-up of the parallel-in-time ergodic
-# run (see run_ergodic).  They set its speed only, never its output.  On
-# the bundled configs nearly every segment coalesces within the warm-up; one
-# that does not costs a re-run round, about half a first round.
+# Steps per segment of the parallel-in-time ergodic run (see run_ergodic).
+# It sets the run's speed only, never its output.
 _SEGMENT = 1000
-_WARMUP = 1000
 
 
 class NonFiniteSampleError(FloatingPointError):
@@ -130,6 +127,11 @@ class ExperimentConfig:
         return self.horizon if self.ergodic_length is None else self.ergodic_length
 
     def __post_init__(self):
+        for name in ("trials", "horizon", "ergodic_length", "n_e_bins", "n_d", "n_s", "master_seed"):
+            value = getattr(self, name)
+            unset = value is None and name in ("ergodic_length", "master_seed")
+            if type(value) is not int and not unset:  # bool and float are refused
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1 or self.horizon < 1:
             raise ValueError("trials and horizon must be >= 1")
         if self.ergodic_length is not None and self.ergodic_length < 1:
@@ -214,12 +216,29 @@ def run_empirical(
     p = np.broadcast_to(p0, (cfg.trials, n, n)).copy()
     # A breakdown lets inf/NaN through the loop; it is found after the run.
     with np.errstate(all="ignore"):
-        for k in range(1, cfg.horizon + 1):
-            _branch_step(blocks, p, words[:, k] != 0)
+        _advance(blocks, p, words[:, 1:])
         samples = _checked_distances(prep.p_star, p)
         if samples is None:
-            raise _empirical_breakdown(blocks, p0, words, p)
+            bad = np.flatnonzero(not_positive_definite(p))
+            trial = int(bad[0])
+            path = np.empty((cfg.horizon + 1, n, n))
+            path[0] = p0
+            _advance(blocks, p0[None].copy(), words[trial : trial + 1, 1:], path[None, 1:])
+            raise NotPositiveDefiniteError(
+                f"empirical trial {trial}: {_breakdown(path, words[trial])}; "
+                f"{bad.size} of {cfg.trials} trials end not positive definite"
+            )
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
+
+
+def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Move each PCM of the stack ``p`` in place over its own row of
+    ``words``, one column per step; ``out[:, k]``, when given, receives the
+    stack after column ``k``."""
+    for k in range(words.shape[1]):
+        _branch_step(blocks, p, words[:, k] != 0)
+        if out is not None:
+            out[:, k] = p
 
 
 def _checked_distances(p_star: PDMatrix, mats: np.ndarray) -> np.ndarray | None:
@@ -233,29 +252,13 @@ def _checked_distances(p_star: PDMatrix, mats: np.ndarray) -> np.ndarray | None:
         raise
 
 
-def _drops_before(word: np.ndarray, k: int) -> int:
-    """Number of consecutive drops among steps ``1 .. k`` of ``word`` that
-    end at step ``k``."""
-    arrivals = np.flatnonzero(word[1 : k + 1])
-    return k - 1 - int(arrivals[-1]) if arrivals.size else k
-
-
-def _empirical_breakdown(blocks, p0, words, final) -> NotPositiveDefiniteError:
-    """Name the first trial whose final PCM fails ``PDMatrix``'s rules and the
-    first step at which it fails, found by replaying that trial alone."""
-    bad = np.flatnonzero(not_positive_definite(final))
-    trial = int(bad[0])
-    word = words[trial]
-    p = p0[None].copy()
-    for step in range(1, word.size):
-        _branch_step(blocks, p, word[step : step + 1] != 0)
-        if not_positive_definite(p)[0]:
-            break
-    return NotPositiveDefiniteError(
-        f"empirical trial {trial}: the PCM at step {step} is not positive definite, "
-        f"after {_drops_before(word, step)} consecutive drops; "
-        f"{bad.size} of {len(final)} trials end not positive definite"
-    )
+def _breakdown(path: np.ndarray, word: np.ndarray) -> str:
+    """Name the first step of ``path`` that fails ``PDMatrix``'s rules and
+    the drop run of ``word`` ending there."""
+    step = int(np.flatnonzero(not_positive_definite(path))[0])
+    arrivals = np.flatnonzero(word[1 : step + 1])
+    drops = step - 1 - int(arrivals[-1]) if arrivals.size else step
+    return f"the PCM at step {step} is not positive definite, after {drops} consecutive drops"
 
 
 def run_ergodic(
@@ -269,27 +272,25 @@ def run_ergodic(
     initial step, so ``horizon + 1`` distances are returned.
 
     The path is evaluated parallel in time, bit-identical to applying the
-    branch maps one step after another.  The steps are cut into segments of
-    ``_SEGMENT`` steps; segment ``j`` owns steps ``s_j + 1 .. s_j +
-    _SEGMENT`` with ``s_j = j * _SEGMENT``.  All segments advance together
-    as one batch, one step per iteration.  In the first round segment 0
-    starts exactly (from the fixed point at step 0); every other segment
-    starts from the fixed point at step ``s_j - _WARMUP`` (clamped to 0) and
-    writes its own steps into the path.  The recursion forgets its start,
-    and in floating point the forgetting is exact: two runs driven by the
-    same word become bit-identical after some hundreds of steps and stay so.
+    branch maps one step after another.  The arrival word is padded with
+    arrivals to whole segments of ``_SEGMENT`` steps; segment ``j`` owns the
+    steps after its seam, step ``j * _SEGMENT``.  Each round runs the
+    segments not yet accepted as one batch over their own steps, from the
+    fixed point in the first round and later from the state the predecessor
+    wrote at the seam.  The recursion forgets its start, and in floating
+    point the forgetting is exact: two runs driven by the same word become
+    bit-identical after some hundreds of steps and stay so.  Where every
+    segment forgets within its steps, two rounds finish the path.
 
     After each round the segments are walked in order.  Segment ``j`` is
-    accepted when its predecessor is and the state it started its own steps
-    from equals, bit for bit, the state its predecessor wrote at ``s_j``.
-    The maps are deterministic functions of their input bits (batched and
-    single calls agree bit for bit), so an accepted segment wrote exactly
-    the sequential values.  Segments not accepted are re-run for their own
-    steps only, each from the state its predecessor left at its seam.  The
-    first of them starts from an exact state and is accepted after the
-    round, so at most one round per segment runs whatever the values, NaN
-    and inf included.  ``_SEGMENT`` and ``_WARMUP`` change the speed only,
-    never the result.
+    accepted when its predecessor is and the state it started from equals,
+    bit for bit, the state its predecessor wrote at its seam.  The maps are
+    deterministic functions of their input bits (batched and single calls
+    agree bit for bit), so an accepted segment wrote exactly the sequential
+    values.  Segment 0 starts exactly, and in every later round so does the
+    first segment not yet accepted, so at most one round per segment runs
+    whatever the values, NaN and inf included.  ``_SEGMENT`` changes the
+    speed only, never the result.
 
     A path whose distances fail because a PCM breaks ``PDMatrix``'s rules
     raises :class:`NotPositiveDefiniteError` naming the first such step and
@@ -305,11 +306,7 @@ def run_ergodic(
         path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
         samples = _checked_distances(prep.p_star, path)
         if samples is None:
-            step = int(np.flatnonzero(not_positive_definite(path))[0])
-            raise NotPositiveDefiniteError(
-                f"ergodic run: the PCM at step {step} is not positive definite, "
-                f"after {_drops_before(word, step)} consecutive drops"
-            )
+            raise NotPositiveDefiniteError(f"ergodic run: {_breakdown(path, word)}")
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
 
 
@@ -325,36 +322,23 @@ def _ergodic_path(
     blocks = _branch_blocks(mp)
     length = word.size - 1
     n = p_star.shape[0]
-    seg = _SEGMENT
-    count = -(-length // seg)
-    last = length - (count - 1) * seg  # steps owned by the last segment
-    path = np.empty((length + 1, n, n))
+    count = -(-length // _SEGMENT)
+    bits = np.ones(count * _SEGMENT, dtype=word.dtype)
+    bits[:length] = word[1:]
+    rows = bits.reshape(count, _SEGMENT)
+    path = np.empty((count * _SEGMENT + 1, n, n))
     path[0] = p_star
-    state = np.broadcast_to(p_star, (count, n, n)).copy()
-    first, warmup, rounds = 0, _WARMUP, 0
+    grid = path[1:].reshape(count, _SEGMENT, n, n)
+    seams = path[:-1:_SEGMENT]
+    start = np.broadcast_to(p_star, (count, n, n)).copy()
+    first, rounds = 0, 0
     while first < count:
         rounds += 1
-        # Iteration t moves each running segment j from step s_j + t - 1 to
-        # s_j + t.  Iterations t <= 0 are warm-up and write nothing; in them
-        # only the segments with s_j + t >= 1 have started.  The seam states
-        # (each segment's state at s_j) are taken before iteration 1.
-        start = max(1 - warmup, 1 - (count - 1) * seg)
-        stop = seg if first < count - 1 else last
-        for t in range(start, stop + 1):
-            if t == 1:
-                seam = state[first:].copy()
-            lo = max(first, -t // seg + 1)
-            hi = count if t <= last else count - 1
-            steps = slice(lo * seg + t, (hi - 1) * seg + t + 1, seg)
-            _branch_step(blocks, state[lo:hi], word[steps] != 0)
-            if t >= 1:
-                path[steps] = state[lo:hi]
-        written = path[first * seg : count * seg : seg]
-        same = np.all(seam.view(np.uint64) == written.view(np.uint64), axis=(1, 2))
+        _advance(blocks, start[first:].copy(), rows[first:], grid[first:])
+        same = np.all(start[first:].view(np.uint64) == seams[first:].view(np.uint64), axis=(1, 2))
         first += int(np.logical_and.accumulate(same).sum())
-        state[first:] = path[first * seg : count * seg : seg]
-        warmup = 0
-    return path, rounds
+        start[first:] = seams[first:]
+    return path[: length + 1], rounds
 
 
 def cluster_intervals(distances: np.ndarray, n_s: int) -> list:
@@ -450,11 +434,11 @@ def rate_study(
     samples, _ = run_ergodic(cfg, prep)
     grid = np.array([hi for (_, hi, _) in cluster_intervals(prep.ladder, cfg.n_s)])
     inside = samples[:, None] <= grid[None, :]
-    running = np.cumsum(inside, axis=0) / np.arange(1, samples.size + 1)[:, None]
-    reference = running[-1]
+    reference = np.count_nonzero(inside, axis=0) / samples.size
     out = []
     for c in checkpoints:
-        gap = float(np.max(np.abs(running[c] - reference)))
+        running = np.count_nonzero(inside[: c + 1], axis=0) / (c + 1)
+        gap = float(np.max(np.abs(running - reference)))
         envelope = float(gap / (np.log(c) / c) ** 0.25)
         out.append((c, gap, envelope))
     return out

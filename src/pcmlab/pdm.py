@@ -20,7 +20,6 @@ to be dispatched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -157,8 +156,10 @@ def _j_matrix(n: int) -> np.ndarray:
 
 
 def _fma(x: float, y: float, z: float) -> float:
-    """``x * y + z`` with one rounding: the exact value, correctly rounded."""
-    return float(Fraction(x) * Fraction(y) + Fraction(z))
+    """``x * y + z`` with one rounding: the exact value over integers, then
+    Python's correctly rounded integer true division."""
+    (a, b), (c, d), (e, f) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+    return (a * c * f + e * b * d) / (b * d * f)
 
 
 def _inv_lower(chol: np.ndarray) -> np.ndarray:

@@ -18,6 +18,26 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+# One malformed field per case: (dotted field, value, expected message part).
+MALFORMED = [
+    ("trials", 10.5, "trials must be an integer"),
+    ("horizon", 10.5, "horizon must be an integer"),
+    ("ergodic_length", 10.5, "ergodic_length must be an integer"),
+    ("n_e_bins", 10.5, "n_e_bins must be an integer"),
+    ("n_d", 10.5, "n_d must be an integer"),
+    ("n_s", 2.5, "n_s must be an integer"),
+    ("master_seed", 1.5, "master_seed must be an integer"),
+    ("trials", True, "trials must be an integer"),
+    ("plant.da", [[[0.0, 1.0], [0.0]]], "config.plant.da"),
+    ("plant.db", [[["x", 0.0], [0.0, 0.0]]], "config.plant.db"),
+    ("plant.dc", [[[1.0, 2.0, 3.0], [1.0]]], "config.plant.dc"),
+    ("plant.mu", [1.0], "config.plant"),
+    ("channel.alpha", [0.9], "config.channel"),
+    ("plant", [1, 2], "config.plant must be a JSON object"),
+    ("channel", [0.9, 0.1], "config.channel must be a JSON object"),
+]
+
+
 class TestLoadConfig:
     def test_bundled_reference_config(self):
         cfg = load_config(REFERENCE_CONFIG)
@@ -62,6 +82,21 @@ class TestLoadConfig:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match="fancy_option"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message", MALFORMED, ids=[f"{f}={v!r}".replace(" ", "") for f, v, _ in MALFORMED]
+    )
+    def test_malformed_field_is_a_config_error(self, tmp_path, field, value, message):
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        *sections, key = field.split(".")
+        section = raw
+        for name in sections:
+            section = section[name]
+        section[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=message):
             load_config(path)
 
     def test_parse_error_reports_position(self, tmp_path):

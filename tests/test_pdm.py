@@ -280,6 +280,9 @@ def test_fma_rounds_once():
     assert _fma(x, y, -1.0) == -(2.0**-60)
     assert _fma(0.1, 10.0, -1.0) == 2.0**-54
     assert _fma(3.0, 5.0, 7.0) == 22.0
+    assert np.copysign(1.0, _fma(0.0, 1.0, -0.0)) == 1.0  # an exact zero sum is +0
+    with pytest.raises(OverflowError):
+        _fma(1e308, 10.0, 0.0)
 
 
 class TestHomographic:
