@@ -26,9 +26,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from dataclasses import MISSING, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -47,27 +50,19 @@ from .experiments import (
     run_ergodic,
 )
 from .pdm import NotPositiveDefiniteError, PDMatrix, riemannian_distance
-from .plant import NominalPlant, build_modified_plant, check_structure
+from .plant import build_modified_plant, check_structure
 from .riccati import ConvergenceError, solve_dare
 from .stationary import LN10, enumeration_distribution, delta_distribution
 
 COMMANDS = ("validate", "solve", "simulate", "empirical", "ergodic", "approx", "compare", "rate")
 
-_PLANT_KEYS = {"a", "b", "c", "q", "r", "da", "db", "dc", "mu"}
-_CHANNEL_KEYS = {"alpha", "beta"}
-_TOP_KEYS = {
-    "plant",
-    "channel",
-    "trials",
-    "horizon",
-    "ergodic_length",
-    "init_p1",
-    "init_pcm_scale",
-    "n_e_bins",
-    "delta_max",
-    "n_d",
-    "n_s",
-    "master_seed",
+# How a JSON value becomes a field of each annotated type.  Integer fields
+# take the value as parsed; their dataclass refuses anything but an int.
+_CONVERT = {
+    float: float,
+    np.ndarray: lambda value: np.array(value, dtype=float),
+    tuple: lambda value: tuple(np.array(m, dtype=float) for m in value),
+    PDMatrix: PDMatrix,
 }
 
 
@@ -75,26 +70,61 @@ class ConfigError(ValueError):
     """Configuration file is unreadable or violates a field constraint."""
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required field {where}.{key}")
-    return mapping[key]
+def _numbers(value, where: str):
+    """``value`` itself if every leaf of it is a finite JSON number (not a bool)."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _numbers(item, f"{where}[{i}]")
+    elif type(value) is not int and not (type(value) is float and math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return value
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    if not isinstance(mapping, dict):
+def _section(cls, raw, where: str):
+    """Build the dataclass ``cls`` from the JSON object ``raw`` found at ``where``.
+
+    The fields of ``cls`` are the schema: each names an allowed key, one
+    without a default is required, and a dataclass-typed one is a nested
+    section.  A value for a float or matrix field must pass
+    :func:`_numbers` and is converted by the field's annotated type.
+    """
+    if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(mapping) - allowed
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key, hint = f"{where}.{f.name}", hints[f.name]
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise ConfigError(f"missing required field {key}")
+        elif hint in _CONVERT:
+            value = _numbers(raw[f.name], key)
+            try:
+                kwargs[f.name] = _CONVERT[hint](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        elif is_dataclass(hint):
+            kwargs[f.name] = _section(hint, raw[f.name], key)
+        else:  # an integer field, or None where it may be unset: the dataclass checks it
+            kwargs[f.name] = raw[f.name]
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        # Every field check of the config dataclasses starts with the field name.
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse and validate a JSON experiment config.
 
-    Matrices are row-major nested arrays.  Unknown keys are rejected;
-    missing keys and constraint violations raise :class:`ConfigError`
-    naming the offending field.
+    The fields of :class:`ExperimentConfig`, :class:`NominalPlant` and
+    :class:`ChannelParams` are the schema (see :func:`_section`); matrices
+    are row-major nested arrays.  Unknown keys, missing keys, values that
+    are not finite numbers and constraint violations raise
+    :class:`ConfigError` naming the offending field.
     """
     path = Path(path)
     if not path.exists():
@@ -105,98 +135,22 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    plant_raw = _require(raw, "plant", "config")
-    _reject_unknown(plant_raw, _PLANT_KEYS, "config.plant")
-    channel_raw = _require(raw, "channel", "config")
-    _reject_unknown(channel_raw, _CHANNEL_KEYS, "config.channel")
-
-    def matrix(key, source, where):
-        value = _require(source, key, where)
-        try:
-            return np.array(value, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.{key} is not a numeric matrix: {exc}") from exc
-
-    try:
-        q = PDMatrix(matrix("q", plant_raw, "config.plant"))
-        r = PDMatrix(matrix("r", plant_raw, "config.plant"))
-    except NotPositiveDefiniteError as exc:
-        raise ConfigError(f"config.plant noise covariance invalid: {exc}") from exc
-
-    derivs = {}
-    for key in ("da", "db", "dc"):
-        entries = plant_raw.get(key, [])
-        if not isinstance(entries, list):
-            raise ConfigError(f"config.plant.{key} must be a list of matrices")
-        try:
-            derivs[key] = tuple(np.array(m, dtype=float) for m in entries)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.plant.{key} is not a list of numeric matrices: {exc}") from exc
-
-    try:
-        plant = NominalPlant(
-            a=matrix("a", plant_raw, "config.plant"),
-            b=matrix("b", plant_raw, "config.plant"),
-            c=matrix("c", plant_raw, "config.plant"),
-            q=q,
-            r=r,
-            da=derivs["da"],
-            db=derivs["db"],
-            dc=derivs["dc"],
-            mu=float(plant_raw.get("mu", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.plant: {exc}") from exc
-
-    try:
-        channel = ChannelParams(
-            alpha=float(_require(channel_raw, "alpha", "config.channel")),
-            beta=float(_require(channel_raw, "beta", "config.channel")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.channel: {exc}") from exc
-
-    kwargs = {}
-    for key in _TOP_KEYS - {"plant", "channel"}:
-        if key in raw and raw[key] is not None:
-            kwargs[key] = raw[key]
-    try:
-        return ExperimentConfig(plant=plant, channel=channel, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    return _section(ExperimentConfig, raw, "config")
 
 
-def config_dict(cfg: ExperimentConfig) -> dict:
-    """Canonical JSON-ready form of a resolved config (digest input)."""
-    plant = cfg.plant
-    return {
-        "plant": {
-            "a": plant.a.tolist(),
-            "b": plant.b.tolist(),
-            "c": plant.c.tolist(),
-            "q": plant.q.entries.tolist(),
-            "r": plant.r.entries.tolist(),
-            "da": [m.tolist() for m in plant.da],
-            "db": [m.tolist() for m in plant.db],
-            "dc": [m.tolist() for m in plant.dc],
-            "mu": plant.mu,
-        },
-        "channel": {"alpha": cfg.channel.alpha, "beta": cfg.channel.beta},
-        "trials": cfg.trials,
-        "horizon": cfg.horizon,
-        "ergodic_length": cfg.ergodic_length,
-        "init_p1": cfg.init_p1,
-        "init_pcm_scale": cfg.init_pcm_scale,
-        "n_e_bins": cfg.n_e_bins,
-        "delta_max": cfg.delta_max,
-        "n_d": cfg.n_d,
-        "n_s": cfg.n_s,
-        "master_seed": cfg.master_seed,
-    }
+def config_dict(value):
+    """Canonical JSON-ready form of a resolved config (digest input).
+
+    A walk over the dataclass fields: matrices become nested lists and
+    tuples lists; numbers and None stay as they are.
+    """
+    if isinstance(value, (np.ndarray, PDMatrix)):
+        return np.asarray(value).tolist()
+    if isinstance(value, tuple):
+        return [config_dict(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: config_dict(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -311,8 +265,8 @@ def _write_samples(out_dir: Path, samples, hist) -> list:
     hist_path = out_dir / "histogram.csv"
     width = hist.delta_max / hist.n_bins
     rows = [
-        [i * width, (i + 1) * width, int(c), c / hist.total]
-        for i, c in enumerate(hist.counts)
+        [i * width, (i + 1) * width, int(c), f]
+        for i, (c, f) in enumerate(zip(hist.counts, hist.normalized))
     ]
     write_csv(hist_path, ["bin_lo", "bin_hi", "count", "fraction"], rows)
     return [samples_path, hist_path]
@@ -426,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     """Apply the command-line overrides; an invalid value raises :class:`ConfigError`."""
-    from dataclasses import replace
-
     updates = {}
     if args.seed is not None:
         updates["master_seed"] = args.seed

@@ -132,17 +132,13 @@ class ExperimentConfig:
             unset = value is None and name in ("ergodic_length", "master_seed")
             if type(value) is not int and not unset:  # bool and float are refused
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1 or self.horizon < 1:
-            raise ValueError("trials and horizon must be >= 1")
-        if self.ergodic_length is not None and self.ergodic_length < 1:
-            raise ValueError("ergodic_length must be >= 1 when set")
+            if not unset and name != "master_seed" and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (0.0 <= self.init_p1 <= 1.0):
             raise ValueError("init_p1 must lie in [0, 1]")
-        if self.init_pcm_scale <= 0:
+        if not self.init_pcm_scale > 0:
             raise ValueError("init_pcm_scale must be positive")
-        if self.n_e_bins < 1 or self.n_d < 1 or self.n_s < 1:
-            raise ValueError("n_e_bins, n_d, n_s must be >= 1")
-        if self.delta_max <= 0:
+        if not self.delta_max > 0:
             raise ValueError("delta_max must be positive")
 
     def require_seed(self) -> int:

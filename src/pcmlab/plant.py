@@ -83,23 +83,23 @@ class NominalPlant:
             raise ValueError(f"r must be {p} x {p}, got {self.r.dim}")
         if not (0.0 < self.mu <= 1.0):
             raise ValueError(f"mu must lie in (0, 1], got {self.mu}")
-        da = tuple(np.atleast_2d(np.asarray(d, dtype=float)) for d in self.da)
-        db = tuple(np.atleast_2d(np.asarray(d, dtype=float)) for d in self.db)
-        dc = tuple(np.atleast_2d(np.asarray(d, dtype=float)) for d in self.dc)
-        if not (len(da) == len(db) == len(dc)):
-            raise ValueError("da, db, dc must have equal length")
-        for i, (x, y, z) in enumerate(zip(da, db, dc)):
-            if x.shape != a.shape or y.shape != b.shape or z.shape != c.shape:
-                raise ValueError(f"derivative {i} has inconsistent shape")
+        for name, nominal in (("da", a), ("db", b), ("dc", c)):
+            derivs = tuple(np.atleast_2d(np.asarray(d, dtype=float)) for d in getattr(self, name))
+            object.__setattr__(self, name, derivs)
+            if len(derivs) != len(self.da):
+                raise ValueError(
+                    f"{name} has {len(derivs)} matrices; da, db, dc must have equal length"
+                )
+            for i, d in enumerate(derivs):
+                if d.shape != nominal.shape:
+                    raise ValueError(f"{name}[{i}] has shape {d.shape}; as a derivative "
+                                     f"of {name[1]} it needs {nominal.shape}")
         a.setflags(write=False)
         b.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "da", da)
-        object.__setattr__(self, "db", db)
-        object.__setattr__(self, "dc", dc)
 
     @property
     def n(self) -> int:

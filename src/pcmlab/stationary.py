@@ -72,11 +72,8 @@ class AtomicDistribution:
 
     atoms: tuple
     residual_mass: float
-    method: str
 
     def __post_init__(self):
-        if self.method not in ("enumerate", "delta"):
-            raise ValueError(f"unknown method {self.method!r}")
         atoms = tuple(sorted(self.atoms, key=lambda a: a.distance))
         total = sum(a.mass for a in atoms) + self.residual_mass
         if abs(total - 1.0) > 1e-9:
@@ -262,7 +259,7 @@ def enumeration_distribution(
         atoms.extend(map(Atom, mats, (dist / LN10).tolist(), mass.tolist(), codes))
     # A correctly rounded sum: the residual does not depend on atom order.
     residual = 1.0 - math.fsum(a.mass for a in atoms)
-    return AtomicDistribution(atoms=tuple(atoms), residual_mass=residual, method="enumerate")
+    return AtomicDistribution(atoms=tuple(atoms), residual_mass=residual)
 
 
 def delta_distribution(
@@ -295,4 +292,4 @@ def delta_distribution(
             )
         )
     residual = 1.0 - sum(a.mass for a in atoms)
-    return AtomicDistribution(atoms=tuple(atoms), residual_mass=residual, method="delta")
+    return AtomicDistribution(atoms=tuple(atoms), residual_mass=residual)

@@ -35,6 +35,17 @@ MALFORMED = [
     ("channel.alpha", [0.9], "config.channel"),
     ("plant", [1, 2], "config.plant must be a JSON object"),
     ("channel", [0.9, 0.1], "config.channel must be a JSON object"),
+    # Every leaf is a finite JSON number: no bool, string, NaN or infinity.
+    ("init_pcm_scale", True, "config.init_pcm_scale must be a finite number"),
+    ("delta_max", True, "config.delta_max must be a finite number"),
+    ("init_p1", False, "config.init_p1 must be a finite number"),
+    ("plant.mu", True, "config.plant.mu must be a finite number"),
+    ("channel.alpha", "0.95", "config.channel.alpha must be a finite number"),
+    ("plant.mu", "0.8", "config.plant.mu must be a finite number"),
+    ("plant.a", [["1.1234", 0.0196], [0.0, 0.9802]], r"config.plant.a\[0\]\[0\] must be a finite"),
+    ("plant.a", [[1.1234, 0.0196], [True, 0.9802]], r"config.plant.a\[1\]\[0\] must be a finite"),
+    ("init_pcm_scale", float("nan"), "config.init_pcm_scale must be a finite number"),
+    ("delta_max", float("inf"), "config.delta_max must be a finite number"),
 ]
 
 
@@ -355,3 +366,8 @@ class TestPinnedResults:
         ladder = json.loads((tmp_path / "validate.json").read_text())["distance_ladder"]
         rows = (ROOT / "results" / case / "clusters.csv").read_text().splitlines()[1:-1]
         assert ladder == [float(row.split(",")[0]) for row in rows]
+
+    @pytest.mark.parametrize("case, config", PINNED_TABLES)
+    def test_config_digest_is_the_results_one(self, case, config):
+        manifest = json.loads((ROOT / "results" / case / "manifest.json").read_text())
+        assert config_digest(load_config(ROOT / "configs" / config)) == manifest["config_digest"]

@@ -299,15 +299,6 @@ class TestAtomicDistributionType:
             AtomicDistribution(
                 atoms=(Atom(matrix=ref_prep.p_star.entries, distance=0.0, mass=0.5),),
                 residual_mass=0.0,
-                method="delta",
-            )
-
-    def test_unknown_method_rejected(self, ref_prep):
-        with pytest.raises(ValueError, match="method"):
-            AtomicDistribution(
-                atoms=(Atom(matrix=ref_prep.p_star.entries, distance=0.0, mass=1.0),),
-                residual_mass=0.0,
-                method="magic",
             )
 
     def test_atom_distance_convention(self, ref_mp, ref_prep):
