@@ -320,7 +320,14 @@ def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> list:
 
 def _cmd_rate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
     if args.checkpoints:
-        checkpoints = [int(tok) for tok in args.checkpoints.split(",")]
+        checkpoints = []
+        for tok in args.checkpoints.split(","):
+            try:
+                checkpoints.append(int(tok))
+            except ValueError:
+                raise ValueError(
+                    f"--checkpoints takes comma-separated integers; {tok!r} is not one"
+                ) from None
     else:
         n = cfg.effective_ergodic_length
         defaults = {max(10, n // 100), max(100, n // 10), n // 2}

@@ -28,6 +28,10 @@ from .plant import (
     NominalPlant,
     _branch_blocks,
     _branch_step,
+    _branch_step_planes,
+    _coefficients,
+    _planes,
+    _set_planes,
     build_modified_plant,
 )
 from .riccati import orbit_distances, solve_dare
@@ -104,9 +108,9 @@ class ExperimentConfig:
 
     ``horizon`` is the per-trial word length for empirical runs;
     ``ergodic_length`` (falling back to ``horizon`` when unset) is the total
-    length of single-trajectory runs.  ``master_seed`` may be None for
-    purely deterministic commands; stochastic routines then refuse to run
-    rather than pulling silent entropy.
+    length of single-trajectory runs.  ``master_seed`` lies in
+    ``[0, 2**64)``, or is None for purely deterministic commands; stochastic
+    routines then refuse to run rather than pulling silent entropy.
     """
 
     plant: NominalPlant
@@ -134,6 +138,9 @@ class ExperimentConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if not unset and name != "master_seed" and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        # The seed mixer works modulo 2**64; a seed outside would alias one inside.
+        if self.master_seed is not None and not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not (0.0 <= self.init_p1 <= 1.0):
             raise ValueError("init_p1 must lie in [0, 1]")
         if not self.init_pcm_scale > 0:
@@ -230,11 +237,25 @@ def run_empirical(
 def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = None) -> None:
     """Move each PCM of the stack ``p`` in place over its own row of
     ``words``, one column per step; ``out[:, k]``, when given, receives the
-    stack after column ``k``."""
+    stack after column ``k``.
+
+    A 2x2 stack is held as its three contiguous entry planes for the whole
+    loop and written back once, so no step gathers or scatters matrices.
+    """
+    if p.shape[-1] != 2:
+        for k in range(words.shape[1]):
+            _branch_step(blocks, p, words[:, k] != 0)
+            if out is not None:
+                out[:, k] = p
+        return
+    a0, w0, a1, w1, k1 = blocks
+    coef0, coef1 = _coefficients(a0, w0), _coefficients(a1, w1, k1)
+    planes = tuple(np.ascontiguousarray(x) for x in _planes(p))
     for k in range(words.shape[1]):
-        _branch_step(blocks, p, words[:, k] != 0)
+        planes = _branch_step_planes(coef0, coef1, planes, words[:, k] != 0)
         if out is not None:
-            out[:, k] = p
+            _set_planes(out[:, k], *planes)
+    _set_planes(p, *planes)
 
 
 def _checked_distances(p_star: PDMatrix, mats: np.ndarray) -> np.ndarray | None:

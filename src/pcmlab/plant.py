@@ -17,6 +17,20 @@ every bundled config and the acceptance gate use 2x2 plants, and on a
 stack of 5000 such matrices the batched LAPACK route takes 8 (open-loop) to
 17 (measurement) times as long.  Any other ``n`` goes through batched
 matrix products and LAPACK solves.
+
+The closed forms are written once, as functions of the three entry planes
+``p00, p01, p11`` of a symmetric stack (``_gamma0_planes`` /
+``_gamma1_planes``); the stack maps read the planes as views and write the
+result back.  The Monte-Carlo loop keeps its stack as contiguous planes for
+all its steps and advances them with ``_branch_step_planes``.  On a column
+that mixes arrivals and drops it evaluates both maps on every entry and
+keeps the selected one with ``np.copyto(..., where=got)``, rather than
+gathering and scattering ``(k, 2, 2)`` matrices by boolean index: the
+gather/scatter was half the step's time and did no arithmetic, and
+compressing each plane instead is slower again.  The map not selected may
+overflow or divide by zero on an entry; its value there is never read, and
+the callers' ``np.errstate`` silences the warning.  A column of only
+arrivals or only drops runs its one map.
 """
 
 from __future__ import annotations
@@ -154,10 +168,8 @@ class ModifiedPlant:
         return self.a0.shape[0]
 
 
-def _times_2x2(a00, a01, a10, a11, p):
-    """Entries of ``a p`` for a stack of symmetric 2x2 ``p``; reads only
-    ``p``'s upper triangle."""
-    p00, p01, p11 = p[..., 0, 0], p[..., 0, 1], p[..., 1, 1]
+def _times_2x2(a00, a01, a10, a11, p00, p01, p11):
+    """Entries of ``a p`` for symmetric 2x2 ``p`` given by its entry planes."""
     return (
         a00 * p00 + a01 * p01,
         a00 * p01 + a01 * p11,
@@ -166,8 +178,19 @@ def _times_2x2(a00, a01, a10, a11, p):
     )
 
 
-def _symmetric_2x2(p, x00, x01, x11):
-    out = np.empty(p.shape)
+def _coefficients(*mats) -> tuple:
+    """The entries of the 2x2 ``mats``, row by row, as Python floats."""
+    return tuple(x for mat in mats for x in mat.ravel().tolist())
+
+
+def _planes(p: np.ndarray) -> tuple:
+    """The entry planes ``(p00, p01, p11)`` of a symmetric 2x2 stack (views)."""
+    return p[..., 0, 0], p[..., 0, 1], p[..., 1, 1]
+
+
+def _set_planes(out: np.ndarray, x00, x01, x11) -> np.ndarray:
+    """Write the entry planes into the 2x2 stack ``out``, ``x01`` to both
+    triangles; returns ``out``."""
     out[..., 0, 0] = x00
     out[..., 0, 1] = x01
     out[..., 1, 0] = x01
@@ -180,18 +203,45 @@ def _symmetric_2x2(p, x00, x01, x11):
 # one numpy call over the whole stack.
 
 
+def _gamma0_planes(coef: tuple, p00, p01, p11) -> tuple:
+    """Open-loop map on entry planes; ``coef`` is ``_coefficients(a0, w0)``."""
+    a00, a01, a10, a11, w00, w01, _, w11 = coef
+    r00, r01, r10, r11 = _times_2x2(a00, a01, a10, a11, p00, p01, p11)
+    return (
+        r00 * a00 + r01 * a01 + w00,
+        0.5 * ((r00 * a10 + r01 * a11) + (r10 * a00 + r11 * a01)) + w01,
+        r10 * a10 + r11 * a11 + w11,
+    )
+
+
+def _gamma1_planes(coef: tuple, p00, p01, p11) -> tuple:
+    """Measurement map on entry planes; ``coef`` is ``_coefficients(a1, w1, k1)``.
+
+    The inverse is ``adj(m) / det(m)`` with ``m = I + k1 z``, and the two
+    off-diagonal entries of the product are averaged into one.
+    """
+    a00, a01, a10, a11, w00, w01, _, w11, k00, k01, k10, k11 = coef
+    r00, r01, r10, r11 = _times_2x2(a00, a01, a10, a11, p00, p01, p11)
+    z00 = r00 * a00 + r01 * a01 + w00
+    z01 = r00 * a10 + r01 * a11 + w01
+    z11 = r10 * a10 + r11 * a11 + w11
+    m00 = 1.0 + k00 * z00 + k01 * z01
+    m01 = k00 * z01 + k01 * z11
+    m10 = k10 * z00 + k11 * z01
+    m11 = 1.0 + k10 * z01 + k11 * z11
+    det = m00 * m11 - m01 * m10
+    return (
+        (z00 * m11 - z01 * m10) / det,
+        0.5 * ((-z00 * m01 + z01 * m00) + (z01 * m11 - z11 * m10)) / det,
+        (-z01 * m01 + z11 * m00) / det,
+    )
+
+
 def _gamma0_update(a0: np.ndarray, w0: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Batched open-loop update ``a0 p a0' + w0``, symmetrized."""
     if p.shape[-1] == 2:
-        (a00, a01), (a10, a11) = a0.tolist()
-        (w00, w01), (_, w11) = w0.tolist()
-        r00, r01, r10, r11 = _times_2x2(a00, a01, a10, a11, p)
-        return _symmetric_2x2(
-            p,
-            r00 * a00 + r01 * a01 + w00,
-            0.5 * ((r00 * a10 + r01 * a11) + (r10 * a00 + r11 * a01)) + w01,
-            r10 * a10 + r11 * a11 + w11,
-        )
+        planes = _gamma0_planes(_coefficients(a0, w0), *_planes(p))
+        return _set_planes(np.empty(p.shape), *planes)
     out = a0 @ p @ a0.T + w0
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
@@ -200,30 +250,10 @@ def _gamma1_update(
     a1: np.ndarray, w1: np.ndarray, k1: np.ndarray, p: np.ndarray
 ) -> np.ndarray:
     """Batched measurement update ``z (I + k1 z)^{-1}`` with ``z`` the
-    predicted matrix; algebraically the homographic measurement branch.
-
-    For 2x2 stacks the inverse is ``adj(m) / det(m)`` with ``m = I + k1 z``,
-    and the two off-diagonal entries of the product are averaged into one.
-    """
+    predicted matrix; algebraically the homographic measurement branch."""
     if p.shape[-1] == 2:
-        (a00, a01), (a10, a11) = a1.tolist()
-        (w00, w01), (_, w11) = w1.tolist()
-        (k00, k01), (k10, k11) = k1.tolist()
-        r00, r01, r10, r11 = _times_2x2(a00, a01, a10, a11, p)
-        z00 = r00 * a00 + r01 * a01 + w00
-        z01 = r00 * a10 + r01 * a11 + w01
-        z11 = r10 * a10 + r11 * a11 + w11
-        m00 = 1.0 + k00 * z00 + k01 * z01
-        m01 = k00 * z01 + k01 * z11
-        m10 = k10 * z00 + k11 * z01
-        m11 = 1.0 + k10 * z01 + k11 * z11
-        det = m00 * m11 - m01 * m10
-        return _symmetric_2x2(
-            p,
-            (z00 * m11 - z01 * m10) / det,
-            0.5 * ((-z00 * m01 + z01 * m00) + (z01 * m11 - z11 * m10)) / det,
-            (-z01 * m01 + z11 * m00) / det,
-        )
+        planes = _gamma1_planes(_coefficients(a1, w1, k1), *_planes(p))
+        return _set_planes(np.empty(p.shape), *planes)
     z = a1 @ p @ a1.T + w1
     eye = np.eye(a1.shape[0])
     lhs = eye + k1 @ z
@@ -254,6 +284,21 @@ def _branch_step(blocks, p: np.ndarray, got: np.ndarray) -> None:
         p[got] = _gamma1_update(a1, w1, k1, p[got])
         lost = ~got
         p[lost] = _gamma0_update(a0, w0, p[lost])
+
+
+def _branch_step_planes(coef0: tuple, coef1: tuple, planes: tuple, got: np.ndarray) -> tuple:
+    """The entry planes one step on: the measurement map where ``got`` is
+    true, the open-loop map elsewhere.  A mixed column evaluates both maps
+    on every entry and keeps the selected one; the other map's inf or NaN
+    on an entry is never read."""
+    if got.all():
+        return _gamma1_planes(coef1, *planes)
+    if not got.any():
+        return _gamma0_planes(coef0, *planes)
+    out = _gamma0_planes(coef0, *planes)
+    for x, y in zip(out, _gamma1_planes(coef1, *planes)):
+        np.copyto(x, y, where=got)
+    return out
 
 
 @dataclass(frozen=True)

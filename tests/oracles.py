@@ -9,6 +9,9 @@ quantity that ``pcmlab`` computes another way:
 - :func:`gamma0_lapack` / :func:`gamma1_lapack`: the batched branch maps
   through matrix products and LAPACK solves, for any ``n``, against the
   closed-form 2x2 branch of :mod:`pcmlab.plant`;
+- :func:`gamma0_float` / :func:`gamma1_float`: the closed-form 2x2 maps on
+  one matrix in plain Python floats, in the kernel's operation order, so
+  against the numpy kernel they agree bit for bit;
 - :func:`scipy_riemannian_distance`: the distance through scipy's
   generalized symmetric eigensolver (LAPACK ``dsygvd``), against the
   numpy-only :func:`pcmlab.pdm.riemannian_distance`; it is the one oracle
@@ -65,6 +68,49 @@ def gamma1_lapack(
     out = np.linalg.solve(np.swapaxes(lhs, -1, -2), np.swapaxes(z, -1, -2))
     out = np.swapaxes(out, -1, -2)
     return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def gamma0_float(a0: np.ndarray, w0: np.ndarray, p: np.ndarray) -> tuple:
+    """Entries ``(x00, x01, x11)`` of the open-loop map of one symmetric 2x2
+    ``p``, in plain floats (the recursion of perfbench's ``rate_oracle``)."""
+    (a00, a01), (a10, a11) = a0.tolist()
+    (w00, w01), (_, w11) = w0.tolist()
+    (p00, p01), (_, p11) = p.tolist()
+    r00 = a00 * p00 + a01 * p01
+    r01 = a00 * p01 + a01 * p11
+    r10 = a10 * p00 + a11 * p01
+    r11 = a10 * p01 + a11 * p11
+    return (
+        r00 * a00 + r01 * a01 + w00,
+        0.5 * ((r00 * a10 + r01 * a11) + (r10 * a00 + r11 * a01)) + w01,
+        r10 * a10 + r11 * a11 + w11,
+    )
+
+
+def gamma1_float(a1: np.ndarray, w1: np.ndarray, k1: np.ndarray, p: np.ndarray) -> tuple:
+    """Entries ``(x00, x01, x11)`` of the measurement map of one symmetric
+    2x2 ``p`` through the adjugate, in plain floats."""
+    (b00, b01), (b10, b11) = a1.tolist()
+    (v00, v01), (_, v11) = w1.tolist()
+    (k00, k01), (k10, k11) = k1.tolist()
+    (p00, p01), (_, p11) = p.tolist()
+    r00 = b00 * p00 + b01 * p01
+    r01 = b00 * p01 + b01 * p11
+    r10 = b10 * p00 + b11 * p01
+    r11 = b10 * p01 + b11 * p11
+    z00 = r00 * b00 + r01 * b01 + v00
+    z01 = r00 * b10 + r01 * b11 + v01
+    z11 = r10 * b10 + r11 * b11 + v11
+    m00 = 1.0 + k00 * z00 + k01 * z01
+    m01 = k00 * z01 + k01 * z11
+    m10 = k10 * z00 + k11 * z01
+    m11 = 1.0 + k10 * z01 + k11 * z11
+    det = m00 * m11 - m01 * m10
+    return (
+        (z00 * m11 - z01 * m10) / det,
+        0.5 * ((-z00 * m01 + z01 * m00) + (z01 * m11 - z11 * m10)) / det,
+        (-z01 * m01 + z11 * m00) / det,
+    )
 
 
 def scipy_riemannian_distance(p, q) -> float:

@@ -27,6 +27,9 @@ MALFORMED = [
     ("n_d", 10.5, "n_d must be an integer"),
     ("n_s", 2.5, "n_s must be an integer"),
     ("master_seed", 1.5, "master_seed must be an integer"),
+    # Seeds are mixed modulo 2**64, so one outside would alias one inside.
+    ("master_seed", -1, r"config.master_seed must lie in \[0, 2\*\*64\), got -1"),
+    ("master_seed", 2**64, r"config.master_seed must lie in \[0, 2\*\*64\), got 18446744073709551616"),
     ("trials", True, "trials must be an integer"),
     ("plant.da", [[[0.0, 1.0], [0.0]]], "config.plant.da"),
     ("plant.db", [[["x", 0.0], [0.0, 0.0]]], "config.plant.db"),
@@ -109,6 +112,14 @@ class TestLoadConfig:
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        raw["master_seed"] = seed
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(raw))
+        assert load_config(path).master_seed == seed
 
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -295,7 +306,17 @@ class TestCommands:
         assert "checkpoints must be at least 2" in capsys.readouterr().err
         assert not (tmp_path / "rate.csv").exists()
 
+    @pytest.mark.parametrize("tokens, bad", [("10,abc", "'abc'"), ("10,,20", "''")])
+    def test_rate_names_the_bad_checkpoint(self, tmp_path, capsys, tokens, bad):
+        assert run_cli("rate", "--config", REFERENCE_CONFIG, "--ergodic-length", 2000,
+                       f"--checkpoints={tokens}", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "--checkpoints" in err and f"{bad} is not" in err
+        assert not (tmp_path / "rate.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
         ("--trials", "0"),
         ("--horizon", "0"),
         ("--ergodic-length", "0"),
@@ -307,6 +328,8 @@ class TestCommands:
                        "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("validation failure: command-line override:")
+        if flag == "--seed":
+            assert f"master_seed must lie in [0, 2**64), got {value}" in err
         assert "Traceback" not in err
 
     def test_ergodic_and_empirical_commands(self, tmp_path):

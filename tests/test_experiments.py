@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -151,6 +152,22 @@ class TestEmpirical:
         cfg = ExperimentConfig(plant=ref_plant, channel=ChannelParams(0.9, 0.1), trials=10, horizon=5)
         with pytest.raises(ValueError, match="master_seed"):
             run_empirical(cfg)
+
+    def test_traced_memory_peak(self):
+        # The run holds the uint8 words (trials x (horizon + 1) bytes, 2.0 MB
+        # here), the stack and one 256-row chunk of uniforms: a traced peak of
+        # 4.70 MB.  The 0.8 MB margin is below the 2.0 MB of any whole-word
+        # temporary (a boolean mask copy, say), which would also show in the
+        # benchmark's peak RSS.
+        cfg = load_config(CONFIGS / "paper_section5_moderate.json")
+        prep = prepare(cfg)
+        tracemalloc.start()
+        try:
+            run_empirical(cfg, prep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_500_000
 
 
 class TestErgodic:

@@ -6,19 +6,26 @@ import pytest
 from pcmlab import PDMatrix, build_modified_plant, prepare
 from pcmlab.channel import sample_chain, stationary_probability
 from pcmlab.cli import load_config
-from pcmlab.experiments import ERGODIC_STREAM, _ergodic_path
+from pcmlab.experiments import ERGODIC_STREAM, _advance, _ergodic_path
 from pcmlab.pdm import SingularMatrixError, homographic
 from pcmlab.plant import (
     NominalPlant,
     _branch_blocks,
+    _branch_step,
+    _branch_step_planes,
+    _coefficients,
+    _gamma0_planes,
     _gamma0_update,
+    _gamma1_planes,
     _gamma1_update,
+    _planes,
+    _set_planes,
     check_structure,
     sensitivity_matrices,
 )
 
 from conftest import make_reference_plant, random_pd, random_plant
-from oracles import gamma0_lapack, gamma1_lapack
+from oracles import gamma0_float, gamma0_lapack, gamma1_float, gamma1_lapack
 
 
 def kalman_plant(n=2, m=2, p=1, mu=1.0, seed=0):
@@ -290,3 +297,108 @@ class TestBranchKernel:
             want1 = np.stack([homographic(mp.sym.m1, x).entries for x in stack])
             assert_close_per_matrix(_gamma0_update(a0, w0, stack), want0, 1e-12)
             assert_close_per_matrix(_gamma1_update(a1, w1, k1, stack), want1, 1e-12)
+
+
+STACK_SIZES = [1, 2, 255, 257, 5000]
+
+
+def bundled_blocks():
+    return [_branch_blocks(prepare(load_config(config)).mp) for config in BUNDLED_CONFIGS]
+
+
+def masks(rng, k):
+    """All arrivals, all drops, and a mixed column of length ``k``."""
+    mixed = rng.random(k) < 0.6
+    mixed[0], mixed[-1] = True, False
+    return {"arrivals": np.ones(k, bool), "drops": np.zeros(k, bool), "mixed": mixed}
+
+
+class TestPlaneKernel:
+    """The entry-plane maps and the masked step the Monte-Carlo loop runs,
+    bit for bit against plain-float maps and the gather/scatter stack step."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self):
+        return bundled_blocks()
+
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_plane_maps_equal_plain_float_maps(self, blocks, k):
+        rng = np.random.default_rng(k)
+        stack = random_pd_stack(rng, 2, k, 3.0)
+        for a0, w0, a1, w1, k1 in blocks:
+            planes = tuple(np.ascontiguousarray(x) for x in _planes(stack))
+            for got_planes, got_stack, want in [
+                (_gamma0_planes(_coefficients(a0, w0), *planes),
+                 _gamma0_update(a0, w0, stack),
+                 [gamma0_float(a0, w0, p) for p in stack]),
+                (_gamma1_planes(_coefficients(a1, w1, k1), *planes),
+                 _gamma1_update(a1, w1, k1, stack),
+                 [gamma1_float(a1, w1, k1, p) for p in stack]),
+            ]:
+                want = np.array(want).T
+                assert np.stack(got_planes).tobytes() == want.tobytes()
+                assert np.stack(_planes(got_stack)).tobytes() == want.tobytes()
+                assert got_stack[:, 1, 0].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("k", STACK_SIZES)
+    def test_masked_step_equals_gather_scatter_step(self, blocks, k):
+        rng = np.random.default_rng(100 + k)
+        stack = random_pd_stack(rng, 2, k, 3.0)
+        for mask in masks(rng, k).values():
+            for a0, w0, a1, w1, k1 in blocks:
+                want = stack.copy()
+                _branch_step((a0, w0, a1, w1, k1), want, mask)
+                planes = tuple(np.ascontiguousarray(x) for x in _planes(stack))
+                got = _branch_step_planes(
+                    _coefficients(a0, w0), _coefficients(a1, w1, k1), planes, mask
+                )
+                assert _set_planes(np.empty_like(stack), *got).tobytes() == want.tobytes()
+
+    def test_advance_equals_the_stack_step_loop(self, blocks):
+        # The plane loop, its per-column output and its write-back, against
+        # the gather/scatter step applied to the whole stack.
+        rng = np.random.default_rng(3)
+        words = (rng.random((257, 60)) < 0.7).astype(np.uint8)
+        words[:, :5] = 1
+        words[:, 5:10] = 0
+        start = random_pd_stack(rng, 2, 257, 2.0)
+        for block in blocks:
+            want = start.copy()
+            want_out = np.empty((257, 60, 2, 2))
+            for k in range(60):
+                _branch_step(block, want, words[:, k] != 0)
+                want_out[:, k] = want
+            got, got_out = start.copy(), np.empty((257, 60, 2, 2))
+            _advance(block, got, words, got_out)
+            assert got.tobytes() == want.tobytes()
+            assert got_out.tobytes() == want_out.tobytes()
+
+    # a0 = 1e100 I, w0 = I; a1 = 1e-100 I, w1 = I, k1 = -I.  On p = I the
+    # measurement map divides 0 by 0; on p = 1e200 I the open-loop map
+    # overflows.  Each entry selects the other map, which stays finite.
+    COEF0 = (1e100, 0.0, 0.0, 1e100, 1.0, 0.0, 0.0, 1.0)
+    COEF1 = (1e-100, 0.0, 0.0, 1e-100, 1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, -1.0)
+
+    def bad_planes(self):
+        scale = np.array([1.0, 1e200])
+        return scale.copy(), np.zeros(2), scale.copy()
+
+    def test_unselected_map_does_not_leak_inf_or_nan(self):
+        got = np.array([False, True])
+        with np.errstate(all="ignore"):
+            both0 = _gamma0_planes(self.COEF0, *self.bad_planes())
+            both1 = _gamma1_planes(self.COEF1, *self.bad_planes())
+            out = _branch_step_planes(self.COEF0, self.COEF1, self.bad_planes(), got)
+        assert np.isnan(both1[0][0]) and np.isinf(both0[0][1])
+        assert np.all(np.isfinite(out))
+        for x, x0, x1 in zip(out, both0, both1):
+            assert x.tobytes() == np.where(got, x1, x0).tobytes()
+
+    def test_no_warning_under_the_callers_errstate(self):
+        # pytest turns every warning into an error; the unselected maps do
+        # raise floating-point errors, which the callers' errstate silences.
+        got = np.array([False, True])
+        with pytest.raises(FloatingPointError), np.errstate(all="raise"):
+            _branch_step_planes(self.COEF0, self.COEF1, self.bad_planes(), got)
+        with np.errstate(all="ignore"):
+            _branch_step_planes(self.COEF0, self.COEF1, self.bad_planes(), got)
