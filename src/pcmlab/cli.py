@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
@@ -190,15 +190,7 @@ def _cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
     mp = prep.mp
     report = check_structure(mp)
     payload = {
-        "structure": {
-            "a0_invertible": report.a0_invertible,
-            "a1_invertible": report.a1_invertible,
-            "ctrb_rank": report.ctrb_rank,
-            "obsv_rank": report.obsv_rank,
-            "controllable": report.controllable,
-            "observable": report.observable,
-            "spectral_radius_a0": report.spectral_radius_a0,
-        },
+        "structure": asdict(report),
         "p_star": prep.p_star.entries.tolist(),
         "distance_ladder": prep.ladder.tolist(),
     }
@@ -231,18 +223,15 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
         cfg.plant, prep.mp, word[1:], np.zeros(cfg.plant.n), p0,
         seed=seed, stream=SIMULATE_NOISE_STREAM,
     )
+    n, p = cfg.plant.n, cfg.plant.p
     rows = []
     for k in range(cfg.horizon + 1):
-        gamma = int(word[k]) if k > 0 else int(word[0])
+        # Row 0 has no measurement yet; NaNs keep the width fixed.
+        y = list(np.atleast_1d(run["measurements"][k - 1])) if k else [float("nan")] * p
         dist = riemannian_distance(run["pcms"][k], prep.p_star) / LN10
         rows.append(
-            [k, gamma]
-            + list(run["states"][k])
-            + list(run["estimates"][k])
-            + ([] if k == 0 else list(np.atleast_1d(run["measurements"][k - 1])))
-            + [dist]
+            [k, int(word[k])] + list(run["states"][k]) + list(run["estimates"][k]) + y + [dist]
         )
-    n, p = cfg.plant.n, cfg.plant.p
     header = (
         ["k", "gamma"]
         + [f"x_true_{i}" for i in range(n)]
@@ -250,8 +239,6 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
         + [f"y_{i}" for i in range(p)]
         + ["pcm_distance"]
     )
-    # Pad the k = 0 row (no measurement yet) with NaNs for fixed width.
-    rows[0] = rows[0][: 2 + 2 * n] + [float("nan")] * p + [rows[0][-1]]
     path = out_dir / "trajectory.csv"
     write_csv(path, header, rows)
     print(f"simulated {cfg.horizon} steps; final estimate error "

@@ -7,14 +7,12 @@ on whether the measurement arrived.  Two numeric paths evaluate those maps:
   the single-matrix jobs: this module's recursion, the fixed-point solver
   and the open-loop orbit behind the distance ladder
   (:mod:`pcmlab.riccati`), and the delta lumping;
-- the batched branch kernel of :mod:`pcmlab.plant` serves the stack jobs:
-  the Monte-Carlo runs of :mod:`pcmlab.experiments`, which hold a 2x2
-  stack as entry planes and step it with ``_branch_step_planes``, and the
-  reachable-set enumeration, which calls ``_gamma0_update`` /
-  ``_gamma1_update`` on stacks.  Both reach the same closed-form 2x2
-  formulas, so they agree bit for bit.
+- the batched branch kernel of :mod:`pcmlab.plant`, ``_advance``, serves
+  the stack jobs: the empirical trials and the ergodic path of
+  :mod:`pcmlab.experiments` and the reachable-set enumeration of
+  :mod:`pcmlab.stationary` all step their stacks through it.
 
-The two agree to about 5e-15 per step but not bit for bit, so neither
+The two paths agree to about 5e-15 per step but not bit for bit, so neither
 replaces the other silently.  That figure holds for PCMs at the scale of
 the fixed point: along 20k-step ergodic paths of the three desk configs the
 2x2 closed form differs from the homographic form by at most 4.8e-15

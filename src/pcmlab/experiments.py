@@ -23,17 +23,7 @@ import numpy as np
 
 from .channel import ChannelParams, sample_chain, sample_chain_batch, stationary_probability
 from .pdm import NotPositiveDefiniteError, PDMatrix, distances_to, not_positive_definite
-from .plant import (
-    ModifiedPlant,
-    NominalPlant,
-    _branch_blocks,
-    _branch_step,
-    _branch_step_planes,
-    _coefficients,
-    _planes,
-    _set_planes,
-    build_modified_plant,
-)
+from .plant import ModifiedPlant, NominalPlant, _advance, _branch_blocks, build_modified_plant
 from .riccati import orbit_distances, solve_dare
 from .stationary import LN10, delta_distribution
 
@@ -218,44 +208,19 @@ def run_empirical(
     p0 = cfg.init_pcm_scale * np.eye(n)
     p = np.broadcast_to(p0, (cfg.trials, n, n)).copy()
     # A breakdown lets inf/NaN through the loop; it is found after the run.
-    with np.errstate(all="ignore"):
-        _advance(blocks, p, words[:, 1:])
-        samples = _checked_distances(prep.p_star, p)
-        if samples is None:
-            bad = np.flatnonzero(not_positive_definite(p))
-            trial = int(bad[0])
-            path = np.empty((cfg.horizon + 1, n, n))
-            path[0] = p0
-            _advance(blocks, p0[None].copy(), words[trial : trial + 1, 1:], path[None, 1:])
-            raise NotPositiveDefiniteError(
-                f"empirical trial {trial}: {_breakdown(path, words[trial])}; "
-                f"{bad.size} of {cfg.trials} trials end not positive definite"
-            )
+    _advance(blocks, p, words[:, 1:])
+    samples = _checked_distances(prep.p_star, p)
+    if samples is None:
+        bad = np.flatnonzero(not_positive_definite(p))
+        trial = int(bad[0])
+        path = np.empty((cfg.horizon + 1, n, n))
+        path[0] = p0
+        _advance(blocks, p0[None].copy(), words[trial : trial + 1, 1:], path[None, 1:])
+        raise NotPositiveDefiniteError(
+            f"empirical trial {trial}: {_breakdown(path, words[trial])}; "
+            f"{bad.size} of {cfg.trials} trials end not positive definite"
+        )
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
-
-
-def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = None) -> None:
-    """Move each PCM of the stack ``p`` in place over its own row of
-    ``words``, one column per step; ``out[:, k]``, when given, receives the
-    stack after column ``k``.
-
-    A 2x2 stack is held as its three contiguous entry planes for the whole
-    loop and written back once, so no step gathers or scatters matrices.
-    """
-    if p.shape[-1] != 2:
-        for k in range(words.shape[1]):
-            _branch_step(blocks, p, words[:, k] != 0)
-            if out is not None:
-                out[:, k] = p
-        return
-    a0, w0, a1, w1, k1 = blocks
-    coef0, coef1 = _coefficients(a0, w0), _coefficients(a1, w1, k1)
-    planes = tuple(np.ascontiguousarray(x) for x in _planes(p))
-    for k in range(words.shape[1]):
-        planes = _branch_step_planes(coef0, coef1, planes, words[:, k] != 0)
-        if out is not None:
-            _set_planes(out[:, k], *planes)
-    _set_planes(p, *planes)
 
 
 def _checked_distances(p_star: PDMatrix, mats: np.ndarray) -> np.ndarray | None:
@@ -319,11 +284,10 @@ def run_ergodic(
     length = cfg.effective_ergodic_length
     gamma_st = stationary_probability(cfg.channel)
     word = sample_chain(cfg.channel, gamma_st, length, seed, stream=ERGODIC_STREAM)
-    with np.errstate(all="ignore"):
-        path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
-        samples = _checked_distances(prep.p_star, path)
-        if samples is None:
-            raise NotPositiveDefiniteError(f"ergodic run: {_breakdown(path, word)}")
+    path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
+    samples = _checked_distances(prep.p_star, path)
+    if samples is None:
+        raise NotPositiveDefiniteError(f"ergodic run: {_breakdown(path, word)}")
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
 
 

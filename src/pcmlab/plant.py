@@ -7,30 +7,28 @@ and a transition/noise/output triple for the received-measurement branch.
 This module computes the sensitivity stacks, every named intermediate, and
 the final branch matrices, and runs the structural (controllability /
 observability) checks the convergence theory requires.  It also holds the
-batched branch-map kernel (``_gamma0_update`` / ``_gamma1_update``) that the
-Monte-Carlo runs and the reachable-set enumeration apply to stacks of PCMs.
+batched branch-map kernel, :func:`_advance`, the one routine that applies
+the two branch maps to stacks of PCMs: the empirical trials, the ergodic
+path and the reachable-set enumeration all step through it.
 
-The kernel has two branches, chosen by the matrix size.  For ``n = 2`` it
-evaluates both maps in closed form, elementwise over the stack (the inverse
-in the measurement map through the 2x2 adjugate and determinant), because
-every bundled config and the acceptance gate use 2x2 plants, and on a
-stack of 5000 such matrices the batched LAPACK route takes 8 (open-loop) to
-17 (measurement) times as long.  Any other ``n`` goes through batched
-matrix products and LAPACK solves.
+The kernel holds one state per matrix size.  For ``n = 2`` it is the three
+contiguous entry planes ``p00, p01, p11`` of the symmetric stack, and the
+maps are evaluated in closed form, elementwise over the stack
+(``_gamma0_planes`` / ``_gamma1_planes``, the inverse in the measurement map
+through the 2x2 adjugate and determinant).  Every bundled config and the
+acceptance gate use 2x2 plants, and on a stack of 5000 such matrices the
+batched LAPACK route takes 8 (open-loop) to 17 (measurement) times as long.
+Any other ``n`` holds the stack itself and goes through batched matrix
+products and LAPACK solves (``_gamma0_stack`` / ``_gamma1_stack``).
 
-The closed forms are written once, as functions of the three entry planes
-``p00, p01, p11`` of a symmetric stack (``_gamma0_planes`` /
-``_gamma1_planes``); the stack maps read the planes as views and write the
-result back.  The Monte-Carlo loop keeps its stack as contiguous planes for
-all its steps and advances them with ``_branch_step_planes``.  On a column
-that mixes arrivals and drops it evaluates both maps on every entry and
-keeps the selected one with ``np.copyto(..., where=got)``, rather than
-gathering and scattering ``(k, 2, 2)`` matrices by boolean index: the
-gather/scatter was half the step's time and did no arithmetic, and
-compressing each plane instead is slower again.  The map not selected may
-overflow or divide by zero on an entry; its value there is never read, and
-the callers' ``np.errstate`` silences the warning.  A column of only
-arrivals or only drops runs its one map.
+Each step applies one column of arrival symbols.  A column of only arrivals
+or only drops runs its one map.  A column that mixes them evaluates both
+maps on every entry and keeps the selected one with
+``np.copyto(..., where=got)``, rather than gathering and scattering
+matrices by boolean index: for 2x2 stacks the gather/scatter was half the
+step's time and did no arithmetic, and compressing each plane instead is
+slower again.  The map not selected may overflow or divide by zero on an
+entry; its value there is never read, and the kernel silences the warning.
 """
 
 from __future__ import annotations
@@ -237,29 +235,26 @@ def _gamma1_planes(coef: tuple, p00, p01, p11) -> tuple:
     )
 
 
-def _gamma0_update(a0: np.ndarray, w0: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Batched open-loop update ``a0 p a0' + w0``, symmetrized."""
-    if p.shape[-1] == 2:
-        planes = _gamma0_planes(_coefficients(a0, w0), *_planes(p))
-        return _set_planes(np.empty(p.shape), *planes)
+def _gamma0_stack(coef: tuple, p: np.ndarray) -> tuple:
+    """Open-loop map ``a0 p a0' + w0`` of an ``n x n`` stack, symmetrized,
+    as a 1-tuple; ``coef`` is ``(a0, w0)``."""
+    a0, w0 = coef
     out = a0 @ p @ a0.T + w0
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return (0.5 * (out + np.swapaxes(out, -1, -2)),)
 
 
-def _gamma1_update(
-    a1: np.ndarray, w1: np.ndarray, k1: np.ndarray, p: np.ndarray
-) -> np.ndarray:
-    """Batched measurement update ``z (I + k1 z)^{-1}`` with ``z`` the
-    predicted matrix; algebraically the homographic measurement branch."""
-    if p.shape[-1] == 2:
-        planes = _gamma1_planes(_coefficients(a1, w1, k1), *_planes(p))
-        return _set_planes(np.empty(p.shape), *planes)
+def _gamma1_stack(coef: tuple, p: np.ndarray) -> tuple:
+    """Measurement map ``z (I + k1 z)^{-1}`` of an ``n x n`` stack, with
+    ``z`` the predicted matrix, symmetrized, as a 1-tuple; ``coef`` is
+    ``(a1, w1, k1)``.  For a valid PCM ``z`` the solve cannot fail:
+    ``k1 = h1' h1`` is positive semi-definite, so ``I + k1 z`` is
+    nonsingular."""
+    a1, w1, k1 = coef
     z = a1 @ p @ a1.T + w1
-    eye = np.eye(a1.shape[0])
-    lhs = eye + k1 @ z
+    lhs = np.eye(a1.shape[0]) + k1 @ z
     out = np.linalg.solve(np.swapaxes(lhs, -1, -2), np.swapaxes(z, -1, -2))
     out = np.swapaxes(out, -1, -2)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+    return (0.5 * (out + np.swapaxes(out, -1, -2)),)
 
 
 def _branch_blocks(mp: ModifiedPlant):
@@ -272,33 +267,47 @@ def _branch_blocks(mp: ModifiedPlant):
     )
 
 
-def _branch_step(blocks, p: np.ndarray, got: np.ndarray) -> None:
-    """Advance the stack ``p`` one step in place: the measurement branch
-    where ``got`` is true, the open-loop branch elsewhere."""
+def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Move each PCM of the stack ``p`` in place over its own row of
+    ``words``, one column per step: the measurement map where the column is
+    nonzero, the open-loop map elsewhere.  ``out[:, k]``, when given,
+    receives the stack after column ``k``.  ``blocks`` is
+    ``_branch_blocks(mp)``.
+
+    The loop holds a 2x2 stack as its three contiguous entry planes and
+    writes it back once; any other size is held as the stack itself.  A
+    column that mixes arrivals and drops evaluates both maps on every entry
+    and keeps the selected one.  The other map may overflow or divide by
+    zero on an entry whose value is never read, so floating-point errors
+    are ignored here; a breakdown of a selected value passes through as
+    inf or NaN for the caller to find.
+    """
     a0, w0, a1, w1, k1 = blocks
-    if got.all():
-        p[...] = _gamma1_update(a1, w1, k1, p)
-    elif not got.any():
-        p[...] = _gamma0_update(a0, w0, p)
+    if p.shape[-1] == 2:
+        gamma0, gamma1, store = _gamma0_planes, _gamma1_planes, _set_planes
+        coef0, coef1 = _coefficients(a0, w0), _coefficients(a1, w1, k1)
+        state = tuple(np.ascontiguousarray(x) for x in _planes(p))
     else:
-        p[got] = _gamma1_update(a1, w1, k1, p[got])
-        lost = ~got
-        p[lost] = _gamma0_update(a0, w0, p[lost])
-
-
-def _branch_step_planes(coef0: tuple, coef1: tuple, planes: tuple, got: np.ndarray) -> tuple:
-    """The entry planes one step on: the measurement map where ``got`` is
-    true, the open-loop map elsewhere.  A mixed column evaluates both maps
-    on every entry and keeps the selected one; the other map's inf or NaN
-    on an entry is never read."""
-    if got.all():
-        return _gamma1_planes(coef1, *planes)
-    if not got.any():
-        return _gamma0_planes(coef0, *planes)
-    out = _gamma0_planes(coef0, *planes)
-    for x, y in zip(out, _gamma1_planes(coef1, *planes)):
-        np.copyto(x, y, where=got)
-    return out
+        gamma0, gamma1, store = _gamma0_stack, _gamma1_stack, np.copyto
+        coef0, coef1 = (a0, w0), (a1, w1, k1)
+        state = (p,)
+    # A column's mask broadcasts over the trailing axes of the state.
+    columns = words.reshape(words.shape + (1,) * (state[0].ndim - 1))
+    with np.errstate(all="ignore"):
+        for k in range(words.shape[1]):
+            got = columns[:, k] != 0
+            if got.all():
+                state = gamma1(coef1, *state)
+            elif not got.any():
+                state = gamma0(coef0, *state)
+            else:
+                mixed = gamma0(coef0, *state)
+                for x, y in zip(mixed, gamma1(coef1, *state)):
+                    np.copyto(x, y, where=got)
+                state = mixed
+            if out is not None:
+                store(out[:, k], *state)
+    store(p, *state)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,16 @@ _MASK64 = (1 << 64) - 1
 
 
 def mix64(master_seed: int, stream: int) -> int:
-    """SplitMix64 finalizer applied to ``master_seed + GOLDEN * stream``."""
-    z = (int(master_seed) + 0x9E3779B97F4A7C15 * (int(stream) + 1)) & _MASK64
+    """SplitMix64 finalizer applied to ``master_seed + GOLDEN * stream``.
+
+    Both must lie in ``[0, 2**64)``: the finalizer works modulo 2**64, so a
+    value outside would alias one inside.
+    """
+    master_seed, stream = int(master_seed), int(stream)
+    for name, value in (("seed", master_seed), ("stream", stream)):
+        if not 0 <= value <= _MASK64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    z = (master_seed + 0x9E3779B97F4A7C15 * (stream + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

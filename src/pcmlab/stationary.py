@@ -15,8 +15,9 @@ Three complementary routes:
 
 The reachable set is built level-synchronously: all words of one length are
 one ``(k, n, n)`` stack, checked for positive definiteness, measured against
-the fixed point and mapped to the next length by the batched branch kernel
-of :mod:`pcmlab.plant`, each in one call per level.
+the fixed point and mapped to the next length by one call of the batched
+branch kernel of :mod:`pcmlab.plant`, over a column that holds the drop
+children first and the arrival children after them.
 
 Distances carried by atoms and emitted tables use the decimal-log scale
 (``sqrt(sum log10^2 eigenvalues)``, i.e. the canonical metric divided by
@@ -39,7 +40,7 @@ from .pdm import (
     not_positive_definite,
     riemannian_distance,
 )
-from .plant import ModifiedPlant, _branch_blocks, _gamma0_update, _gamma1_update
+from .plant import ModifiedPlant, _advance, _branch_blocks
 
 LN10 = math.log(10.0)
 
@@ -113,9 +114,10 @@ def _levels(mp: ModifiedPlant, p_star: PDMatrix, depths: int, g: float, eps_p: f
     rules before its distances are taken; the first failing matrix is named
     by its word and depth.
     """
-    a0, w0, a1, w1, k1 = _branch_blocks(mp)
+    blocks = _branch_blocks(mp)
     codes = ["0"]
-    mats = _gamma0_update(a0, w0, p_star.entries[None])
+    mats = p_star.entries[None].copy()
+    _advance(blocks, mats, np.zeros((1, 1)))
     p = np.ones(1)
     for depth in range(depths):
         bad = np.flatnonzero(not_positive_definite(mats))
@@ -135,9 +137,8 @@ def _levels(mp: ModifiedPlant, p_star: PDMatrix, depths: int, g: float, eps_p: f
         if keep0.size + keep1.size == 0:
             return
         codes = [codes[i] + "0" for i in keep0] + [codes[i] + "1" for i in keep1]
-        mats = np.concatenate(
-            [_gamma0_update(a0, w0, mats[keep0]), _gamma1_update(a1, w1, k1, mats[keep1])]
-        )
+        mats = np.concatenate([mats[keep0], mats[keep1]])
+        _advance(blocks, mats, (np.arange(len(codes)) >= keep0.size)[:, None])
         p = np.concatenate([p0[keep0], p1[keep1]])
 
 

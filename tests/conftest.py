@@ -9,7 +9,7 @@ from pcmlab import (
     build_modified_plant,
     prepare,
 )
-from pcmlab.plant import _gamma1_update
+from pcmlab.plant import _advance
 
 # Reference two-state plant used throughout: unstable upper-triangular
 # transition, identity noise input, scalar difference measurement, one
@@ -65,18 +65,19 @@ def random_plant(rng: np.random.Generator, n: int = 2, m: int = 2, p: int = 1, n
 
 
 def negate_first_at_call(call):
-    """Measurement-branch kernel that negates the first matrix it returns on
-    its ``call``-th invocation (depth ``call`` of the expansion), whose word
-    with no pruning is ``"0" * call + "1"``."""
-    real = _gamma1_update
+    """Branch kernel that negates the first arrival child of its ``call``-th
+    level with arrivals (depth ``call`` of the expansion), whose word with
+    no pruning is ``"0" * call + "1"``."""
+    real = _advance
     count = [0]
 
-    def kernel(a1, w1, k1, p):
-        out = real(a1, w1, k1, p)
-        count[0] += 1
-        if count[0] == call:
-            out[0] = -out[0]
-        return out
+    def kernel(blocks, p, words, out=None):
+        real(blocks, p, words, out)
+        arrivals = np.flatnonzero(words[:, 0])
+        if arrivals.size:
+            count[0] += 1
+            if count[0] == call:
+                p[arrivals[0]] = -p[arrivals[0]]
 
     return kernel
 

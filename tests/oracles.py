@@ -11,7 +11,8 @@ quantity that ``pcmlab`` computes another way:
   closed-form 2x2 branch of :mod:`pcmlab.plant`;
 - :func:`gamma0_float` / :func:`gamma1_float`: the closed-form 2x2 maps on
   one matrix in plain Python floats, in the kernel's operation order, so
-  against the numpy kernel they agree bit for bit;
+  against the numpy kernel they agree bit for bit; :func:`step_float`
+  applies the one an arrival symbol selects;
 - :func:`scipy_riemannian_distance`: the distance through scipy's
   generalized symmetric eigensolver (LAPACK ``dsygvd``), against the
   numpy-only :func:`pcmlab.pdm.riemannian_distance`; it is the one oracle
@@ -111,6 +112,15 @@ def gamma1_float(a1: np.ndarray, w1: np.ndarray, k1: np.ndarray, p: np.ndarray) 
         0.5 * ((-z00 * m01 + z01 * m00) + (z01 * m11 - z11 * m10)) / det,
         (-z01 * m01 + z11 * m00) / det,
     )
+
+
+def step_float(blocks: tuple, p: np.ndarray, arrival) -> np.ndarray:
+    """The symmetric 2x2 matrix after one plain-float step from ``p``: the
+    measurement map when ``arrival`` is nonzero, the open-loop map
+    otherwise.  ``blocks`` is ``pcmlab.plant._branch_blocks(mp)``."""
+    a0, w0, a1, w1, k1 = blocks
+    x00, x01, x11 = gamma1_float(a1, w1, k1, p) if arrival else gamma0_float(a0, w0, p)
+    return np.array([[x00, x01], [x01, x11]])
 
 
 def scipy_riemannian_distance(p, q) -> float:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import pcmlab.channel as channel
 from pcmlab import ChannelParams
 from pcmlab.channel import sample_chain, sample_chain_batch, stationary_probability
-from pcmlab.rng import stream_rng
+from pcmlab.rng import mix64, stream_rng
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -121,3 +121,20 @@ class TestSampleChain:
                 assert sample_chain(params, init_p1, length, seed, stream=seed + 3).tobytes() == (
                     step_loop_chain(params, init_p1, length, seed, stream=seed + 3).tobytes()
                 )
+
+
+class TestSeedRange:
+    # The seed mixer works modulo 2**64, so -1 would alias 2**64 - 1.
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_refused(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            sample_chain(ChannelParams(0.8, 0.3), 0.7, 1000, seed, stream=0)
+
+    def test_stream_outside_refused(self):
+        with pytest.raises(ValueError, match=r"stream must lie in \[0, 2\*\*64\), got -1$"):
+            mix64(5, -1)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_range_ends_accepted(self, seed):
+        word = sample_chain(ChannelParams(0.8, 0.3), 0.7, 1000, seed, stream=0)
+        assert word.tobytes() == step_loop_chain(ChannelParams(0.8, 0.3), 0.7, 1000, seed, 0).tobytes()

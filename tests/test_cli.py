@@ -196,7 +196,7 @@ class TestCommands:
             assert "trial" in err
 
     def test_enumeration_breakdown_exits_3_naming_the_word(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(stationary, "_gamma1_update", negate_first_at_call(2))
+        monkeypatch.setattr(stationary, "_advance", negate_first_at_call(2))
         assert run_cli("approx", "--config", REFERENCE_CONFIG, "--method", "enumerate",
                        "--max-len", 5, "--eps-p", 1e-30, "--out", tmp_path) == 3
         err = capsys.readouterr().err

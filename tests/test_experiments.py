@@ -28,10 +28,10 @@ from pcmlab.experiments import (
     run_ergodic,
 )
 from pcmlab.pdm import NotPositiveDefiniteError, PDMatrix, not_positive_definite
-from pcmlab.plant import _branch_blocks, _gamma0_update, _gamma1_update
+from pcmlab.plant import _branch_blocks
 
 from conftest import random_plant
-from oracles import pcm_trajectory
+from oracles import pcm_trajectory, step_float
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DESK_CONFIGS = ("paper_section5.json", "paper_section5_moderate.json", "paper_section5_heavy.json")
@@ -208,23 +208,16 @@ def sequential_ergodic(cfg, prep):
 
 
 def sequential_path(cfg, prep):
-    """The ergodic arrival word and the PCM path it drives, one step at a time."""
-    a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
-    n = a0.shape[0]
-
+    """The ergodic arrival word and the PCM path it drives, one plain-float
+    step at a time (2x2 plants)."""
+    blocks = _branch_blocks(prep.mp)
     length = cfg.effective_ergodic_length
     gamma_st = stationary_probability(cfg.channel)
     word = sample_chain(cfg.channel, gamma_st, length, cfg.master_seed, stream=ERGODIC_STREAM)
-    path = np.empty((length + 1, n, n))
+    path = np.empty((length + 1, 2, 2))
     path[0] = prep.p_star.entries
-    p = path[0]
     for k in range(1, length + 1):
-        p = (
-            _gamma1_update(a1, w1, k1, p)
-            if word[k]
-            else _gamma0_update(a0, w0, p)
-        )
-        path[k] = p
+        path[k] = step_float(blocks, path[k - 1], word[k])
     return word, path
 
 
@@ -319,14 +312,14 @@ class TestBreakdown:
     def test_empirical_names_first_bad_trial_and_step(self, tmp_path):
         cfg = overflow_config(tmp_path, trials=60, horizon=400)
         prep = prepare(cfg)
-        a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
+        blocks = _branch_blocks(prep.mp)
         failing = []
         for trial in range(cfg.trials):
             word = sample_chain(cfg.channel, cfg.init_p1, cfg.horizon, cfg.master_seed, stream=trial)
             p, bad_steps = cfg.init_pcm_scale * np.eye(2), []
             with np.errstate(all="ignore"):
                 for k in range(1, cfg.horizon + 1):
-                    p = _gamma1_update(a1, w1, k1, p) if word[k] else _gamma0_update(a0, w0, p)
+                    p = step_float(blocks, p, word[k])
                     if not_positive_definite(p):
                         bad_steps.append(k)
             if bad_steps and bad_steps[-1] == cfg.horizon:
@@ -371,6 +364,34 @@ class TestGeneralPlantSize:
                             cfg.ergodic_length, cfg.master_seed, stream=ERGODIC_STREAM)
         want = pcm_trajectory(prep.mp, prep.p_star, word[1:], prep.p_star).distances / LN10
         np.testing.assert_allclose(samples, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.fixture(scope="class")
+    def breakdown(self):
+        # a and da scaled by 30 under heavy loss: long drop runs take the
+        # PCM out of the positive-definite cone.
+        plant = random_plant(np.random.default_rng(7), n=3, m=2, p=2, n_err=1)
+        plant = replace(plant, a=30 * plant.a, da=tuple(30 * d for d in plant.da))
+        cfg = ExperimentConfig(
+            plant=plant, channel=ChannelParams(0.08, 0.92), trials=60, horizon=400,
+            ergodic_length=4000, master_seed=3,
+        )
+        return cfg, prepare(cfg)
+
+    def test_empirical_breakdown_names_trial_and_step(self, breakdown):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            run_empirical(*breakdown)
+        assert str(err.value) == (
+            "empirical trial 22: the PCM at step 360 is not positive definite, after 92 "
+            "consecutive drops; 1 of 60 trials end not positive definite"
+        )
+
+    def test_ergodic_breakdown_names_step(self, breakdown):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            run_ergodic(*breakdown)
+        assert str(err.value) == (
+            "ergodic run: the PCM at step 2103 is not positive definite, after 92 "
+            "consecutive drops"
+        )
 
 
 @pytest.fixture(scope="module")

@@ -6,26 +6,22 @@ import pytest
 from pcmlab import PDMatrix, build_modified_plant, prepare
 from pcmlab.channel import sample_chain, stationary_probability
 from pcmlab.cli import load_config
-from pcmlab.experiments import ERGODIC_STREAM, _advance, _ergodic_path
+from pcmlab.experiments import ERGODIC_STREAM, _ergodic_path
 from pcmlab.pdm import SingularMatrixError, homographic
 from pcmlab.plant import (
     NominalPlant,
+    _advance,
     _branch_blocks,
-    _branch_step,
-    _branch_step_planes,
     _coefficients,
     _gamma0_planes,
-    _gamma0_update,
     _gamma1_planes,
-    _gamma1_update,
     _planes,
-    _set_planes,
     check_structure,
     sensitivity_matrices,
 )
 
 from conftest import make_reference_plant, random_pd, random_plant
-from oracles import gamma0_float, gamma0_lapack, gamma1_float, gamma1_lapack
+from oracles import gamma0_float, gamma0_lapack, gamma1_float, gamma1_lapack, step_float
 
 
 def kalman_plant(n=2, m=2, p=1, mu=1.0, seed=0):
@@ -221,15 +217,24 @@ def assert_close_per_matrix(got, want, rtol):
     assert np.all(np.abs(got - want) <= rtol * scale)
 
 
+def one_step(blocks, p, got):
+    """The stack ``p`` after a one-column ``_advance``; ``got`` is the
+    column's arrival mask, or one bool for the whole column."""
+    out = p.copy()
+    _advance(blocks, out, np.broadcast_to(got, len(p))[:, None])
+    return out
+
+
 class TestBranchKernel:
-    """The closed-form 2x2 branch of ``_gamma0_update`` / ``_gamma1_update``
-    against the LAPACK maps, and the general branch against ``homographic``."""
+    """One-column steps of ``_advance``: the closed-form 2x2 maps against
+    the LAPACK maps, and the general ``n`` maps against ``homographic``."""
 
     def check_2x2(self, mp, p):
-        a0, w0, a1, w1, k1 = _branch_blocks(mp)
+        blocks = _branch_blocks(mp)
+        a0, w0, a1, w1, k1 = blocks
         for got, want in [
-            (_gamma0_update(a0, w0, p), gamma0_lapack(a0, w0, p)),
-            (_gamma1_update(a1, w1, k1, p), gamma1_lapack(a1, w1, k1, p)),
+            (one_step(blocks, p, False), gamma0_lapack(a0, w0, p)),
+            (one_step(blocks, p, True), gamma1_lapack(a1, w1, k1, p)),
         ]:
             assert got.shape == p.shape
             assert np.array_equal(got[..., 0, 1], got[..., 1, 0])
@@ -261,7 +266,8 @@ class TestBranchKernel:
                             cfg.master_seed, stream=ERGODIC_STREAM)
         path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
         assert np.abs(path).max() > 1e8
-        a0, w0, a1, w1, k1 = _branch_blocks(prep.mp)
+        blocks = _branch_blocks(prep.mp)
+        a0, w0, a1, w1, k1 = blocks
         a, w, k, p = (x.astype(np.longdouble) for x in (a1, w1, k1, path))
         z = a @ p @ a.T + w
         m = np.eye(2, dtype=np.longdouble) + k @ z
@@ -271,32 +277,47 @@ class TestBranchKernel:
         exact = 0.5 * (exact + np.swapaxes(exact, -1, -2))
 
         scale = np.abs(exact).max(axis=(1, 2), keepdims=True)
-        closed = float(np.max(np.abs(_gamma1_update(a1, w1, k1, path) - exact) / scale))
+        closed = float(np.max(np.abs(one_step(blocks, path, True) - exact) / scale))
         lapack = float(np.max(np.abs(gamma1_lapack(a1, w1, k1, path) - exact) / scale))
         assert lapack > 1e-13
         assert closed <= 4 * lapack
 
-    def test_single_matrix_and_nested_batch(self, ref_mp):
-        # A bare (2, 2) matrix and a (k, m, 2, 2) stack give the slices of
-        # the flat (k*m, 2, 2) result bit for bit.
-        a0, w0, a1, w1, k1 = _branch_blocks(ref_mp)
-        flat = random_pd_stack(np.random.default_rng(9), 2, 12, 2.0)
-        for kernel in (lambda p: _gamma0_update(a0, w0, p),
-                       lambda p: _gamma1_update(a1, w1, k1, p)):
-            out = kernel(flat)
-            assert kernel(flat.reshape(3, 4, 2, 2)).tobytes() == out.tobytes()
-            assert kernel(flat[7]).tobytes() == out[7].tobytes()
+    def test_one_row_and_sub_stacks_equal_the_whole_stack(self):
+        # A row's result does not depend on the rest of the stack, which the
+        # segmented ergodic run relies on to accept a segment.
+        rng = np.random.default_rng(9)
+        for n in (2, 3):
+            blocks = _branch_blocks(build_modified_plant(random_plant(rng, n=n, p=2)))
+            flat = random_pd_stack(rng, n, 12, 2.0)
+            for got in (np.zeros(12, bool), np.ones(12, bool), np.arange(12) % 3 == 0):
+                out = one_step(blocks, flat, got)
+                for rows in (slice(7, 8), slice(2, 9)):
+                    sub = one_step(blocks, flat[rows], got[rows])
+                    assert sub.tobytes() == out[rows].tobytes()
 
     def test_general_branch_matches_homographic(self):
         rng = np.random.default_rng(11)
         for n, m, p in [(3, 2, 2), (3, 3, 1), (4, 2, 2)]:
             mp = build_modified_plant(random_plant(rng, n=n, m=m, p=p, n_err=2))
-            a0, w0, a1, w1, k1 = _branch_blocks(mp)
+            blocks = _branch_blocks(mp)
             stack = random_pd_stack(rng, n, 20, 1.0)
             want0 = np.stack([homographic(mp.sym.m0, x).entries for x in stack])
             want1 = np.stack([homographic(mp.sym.m1, x).entries for x in stack])
-            assert_close_per_matrix(_gamma0_update(a0, w0, stack), want0, 1e-12)
-            assert_close_per_matrix(_gamma1_update(a1, w1, k1, stack), want1, 1e-12)
+            assert_close_per_matrix(one_step(blocks, stack, False), want0, 1e-12)
+            assert_close_per_matrix(one_step(blocks, stack, True), want1, 1e-12)
+
+    def test_general_mixed_column_matches_homographic(self):
+        # For n != 2 a mixed column selects each matrix's map by a masked
+        # copy; every matrix gets the map its symbol names.
+        rng = np.random.default_rng(12)
+        for n in (3, 4):
+            mp = build_modified_plant(random_plant(rng, n=n, m=2, p=2, n_err=2))
+            stack = random_pd_stack(rng, n, 40, 1.0)
+            got = rng.random(40) < 0.5
+            got[0], got[-1] = True, False
+            want = np.stack([homographic(mp.sym.m1 if g else mp.sym.m0, x).entries
+                             for g, x in zip(got, stack)])
+            assert_close_per_matrix(one_step(_branch_blocks(mp), stack, got), want, 1e-12)
 
 
 STACK_SIZES = [1, 2, 255, 257, 5000]
@@ -313,9 +334,14 @@ def masks(rng, k):
     return {"arrivals": np.ones(k, bool), "drops": np.zeros(k, bool), "mixed": mixed}
 
 
+def float_step(blocks, stack, got):
+    """The plain-float oracle step of each matrix of ``stack``, by its symbol."""
+    return np.stack([step_float(blocks, p, g) for p, g in zip(stack, got)])
+
+
 class TestPlaneKernel:
-    """The entry-plane maps and the masked step the Monte-Carlo loop runs,
-    bit for bit against plain-float maps and the gather/scatter stack step."""
+    """The entry-plane maps and the masked step the kernel runs, bit for bit
+    against the plain-float maps."""
 
     @pytest.fixture(scope="class")
     def blocks(self):
@@ -325,14 +351,15 @@ class TestPlaneKernel:
     def test_plane_maps_equal_plain_float_maps(self, blocks, k):
         rng = np.random.default_rng(k)
         stack = random_pd_stack(rng, 2, k, 3.0)
-        for a0, w0, a1, w1, k1 in blocks:
+        for block in blocks:
+            a0, w0, a1, w1, k1 = block
             planes = tuple(np.ascontiguousarray(x) for x in _planes(stack))
             for got_planes, got_stack, want in [
                 (_gamma0_planes(_coefficients(a0, w0), *planes),
-                 _gamma0_update(a0, w0, stack),
+                 one_step(block, stack, False),
                  [gamma0_float(a0, w0, p) for p in stack]),
                 (_gamma1_planes(_coefficients(a1, w1, k1), *planes),
-                 _gamma1_update(a1, w1, k1, stack),
+                 one_step(block, stack, True),
                  [gamma1_float(a1, w1, k1, p) for p in stack]),
             ]:
                 want = np.array(want).T
@@ -342,21 +369,18 @@ class TestPlaneKernel:
 
     @pytest.mark.parametrize("k", STACK_SIZES)
     def test_masked_step_equals_gather_scatter_step(self, blocks, k):
+        # A gather/scatter step sends each matrix through its own map; the
+        # plain-float maps, selected per matrix, compute that bit for bit.
         rng = np.random.default_rng(100 + k)
         stack = random_pd_stack(rng, 2, k, 3.0)
         for mask in masks(rng, k).values():
-            for a0, w0, a1, w1, k1 in blocks:
-                want = stack.copy()
-                _branch_step((a0, w0, a1, w1, k1), want, mask)
-                planes = tuple(np.ascontiguousarray(x) for x in _planes(stack))
-                got = _branch_step_planes(
-                    _coefficients(a0, w0), _coefficients(a1, w1, k1), planes, mask
-                )
-                assert _set_planes(np.empty_like(stack), *got).tobytes() == want.tobytes()
+            for block in blocks:
+                want = float_step(block, stack, mask)
+                assert one_step(block, stack, mask).tobytes() == want.tobytes()
 
     def test_advance_equals_the_stack_step_loop(self, blocks):
         # The plane loop, its per-column output and its write-back, against
-        # the gather/scatter step applied to the whole stack.
+        # the plain-float step applied to the whole stack column by column.
         rng = np.random.default_rng(3)
         words = (rng.random((257, 60)) < 0.7).astype(np.uint8)
         words[:, :5] = 1
@@ -366,7 +390,7 @@ class TestPlaneKernel:
             want = start.copy()
             want_out = np.empty((257, 60, 2, 2))
             for k in range(60):
-                _branch_step(block, want, words[:, k] != 0)
+                want = float_step(block, want, words[:, k])
                 want_out[:, k] = want
             got, got_out = start.copy(), np.empty((257, 60, 2, 2))
             _advance(block, got, words, got_out)
@@ -376,29 +400,34 @@ class TestPlaneKernel:
     # a0 = 1e100 I, w0 = I; a1 = 1e-100 I, w1 = I, k1 = -I.  On p = I the
     # measurement map divides 0 by 0; on p = 1e200 I the open-loop map
     # overflows.  Each entry selects the other map, which stays finite.
-    COEF0 = (1e100, 0.0, 0.0, 1e100, 1.0, 0.0, 0.0, 1.0)
-    COEF1 = (1e-100, 0.0, 0.0, 1e-100, 1.0, 0.0, 0.0, 1.0, -1.0, 0.0, 0.0, -1.0)
+    BLOCKS = (1e100 * np.eye(2), np.eye(2), 1e-100 * np.eye(2), np.eye(2), -np.eye(2))
+    BAD_STACK = np.array([np.eye(2), 1e200 * np.eye(2)])
 
     def bad_planes(self):
-        scale = np.array([1.0, 1e200])
-        return scale.copy(), np.zeros(2), scale.copy()
+        return tuple(np.ascontiguousarray(x) for x in _planes(self.BAD_STACK))
 
     def test_unselected_map_does_not_leak_inf_or_nan(self):
+        a0, w0, a1, w1, k1 = self.BLOCKS
         got = np.array([False, True])
         with np.errstate(all="ignore"):
-            both0 = _gamma0_planes(self.COEF0, *self.bad_planes())
-            both1 = _gamma1_planes(self.COEF1, *self.bad_planes())
-            out = _branch_step_planes(self.COEF0, self.COEF1, self.bad_planes(), got)
+            both0 = _gamma0_planes(_coefficients(a0, w0), *self.bad_planes())
+            both1 = _gamma1_planes(_coefficients(a1, w1, k1), *self.bad_planes())
+        out = one_step(self.BLOCKS, self.BAD_STACK, got)
         assert np.isnan(both1[0][0]) and np.isinf(both0[0][1])
         assert np.all(np.isfinite(out))
-        for x, x0, x1 in zip(out, both0, both1):
+        for x, x0, x1 in zip(_planes(out), both0, both1):
             assert x.tobytes() == np.where(got, x1, x0).tobytes()
 
     def test_no_warning_under_the_callers_errstate(self):
-        # pytest turns every warning into an error; the unselected maps do
-        # raise floating-point errors, which the callers' errstate silences.
+        # pytest turns every warning into an error.  The unselected maps do
+        # raise floating-point errors, which the kernel silences whatever
+        # the caller's errstate.
+        a0, w0, a1, w1, k1 = self.BLOCKS
         got = np.array([False, True])
         with pytest.raises(FloatingPointError), np.errstate(all="raise"):
-            _branch_step_planes(self.COEF0, self.COEF1, self.bad_planes(), got)
-        with np.errstate(all="ignore"):
-            _branch_step_planes(self.COEF0, self.COEF1, self.bad_planes(), got)
+            _gamma1_planes(_coefficients(a1, w1, k1), *self.bad_planes())
+        with pytest.raises(FloatingPointError), np.errstate(all="raise"):
+            _gamma0_planes(_coefficients(a0, w0), *self.bad_planes())
+        for mode in ("raise", "warn"):
+            with np.errstate(all=mode):
+                one_step(self.BLOCKS, self.BAD_STACK, got)

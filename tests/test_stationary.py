@@ -199,7 +199,7 @@ class TestEnumerationDistribution:
         assert lengths == [0, 1, 2, 2, 3, 3, 3, 3]
 
     def test_breakdown_names_word_and_depth(self, ref_mp, ref_prep, monkeypatch):
-        monkeypatch.setattr(stationary, "_gamma1_update", negate_first_at_call(3))
+        monkeypatch.setattr(stationary, "_advance", negate_first_at_call(3))
         with pytest.raises(NotPositiveDefiniteError, match=r"'0001' \(depth 3\)"):
             enumeration_distribution(ref_mp, ref_prep.p_star, 0.5, max_len=6, eps_p=1e-9)
 

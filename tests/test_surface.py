@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pcmlab
 import pcmlab.cli
+import pcmlab.experiments
+import pcmlab.plant
+import pcmlab.stationary
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +50,19 @@ def test_traced_layer_functions_resolve():
     for module, attr, *_ in patches:
         mod = sys.modules[f"pcmlab.{module}"]
         assert callable(getattr(mod, attr, None)), f"pcmlab.{module}.{attr}"
+
+
+def test_stack_jobs_reach_the_branch_maps_only_through_the_kernel():
+    # The stack representation and the branch maps are private to
+    # pcmlab.plant; the Monte-Carlo runs and the enumeration step their
+    # stacks through _advance.
+    for module in (pcmlab.experiments, pcmlab.stationary):
+        bound = {
+            name for name, value in vars(module).items()
+            if name.startswith("_") and not name.startswith("__")
+            and vars(pcmlab.plant).get(name) is value
+        }
+        assert bound <= {"_advance", "_branch_blocks"}, module.__name__
 
 
 def test_cli_import_loads_no_scipy():
