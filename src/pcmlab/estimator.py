@@ -7,10 +7,14 @@ on whether the measurement arrived.  Two numeric paths evaluate those maps:
   the single-matrix jobs: this module's recursion, the fixed-point solver
   and the open-loop orbit behind the distance ladder
   (:mod:`pcmlab.riccati`), and the delta lumping;
-- the batched branch kernel of :mod:`pcmlab.plant`, ``_advance``, serves
-  the stack jobs: the empirical trials and the ergodic path of
+- the closed-form branch maps of :mod:`pcmlab.plant` serve the Monte-Carlo
+  and enumeration jobs.  The batched kernel ``_advance`` steps the stacks:
+  the empirical trials and the ergodic segment grid of
   :mod:`pcmlab.experiments` and the reachable-set enumeration of
-  :mod:`pcmlab.stationary` all step their stacks through it.
+  :mod:`pcmlab.stationary`.  Its one-matrix companion ``_walk`` evaluates
+  the same maps in Python floats, with the same bits, for the 2x2 ergodic
+  paths of at most 100k steps and the replay of a broken-down empirical
+  trial.
 
 The two paths agree to about 5e-15 per step but not bit for bit, so neither
 replaces the other silently.  That figure holds for PCMs at the scale of

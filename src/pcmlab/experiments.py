@@ -23,7 +23,14 @@ import numpy as np
 
 from .channel import ChannelParams, sample_chain, sample_chain_batch, stationary_probability
 from .pdm import NotPositiveDefiniteError, PDMatrix, distances_to, not_positive_definite
-from .plant import ModifiedPlant, NominalPlant, _advance, _branch_blocks, build_modified_plant
+from .plant import (
+    ModifiedPlant,
+    NominalPlant,
+    _advance,
+    _branch_blocks,
+    _walk,
+    build_modified_plant,
+)
 from .riccati import orbit_distances, solve_dare
 from .stationary import LN10, delta_distribution
 
@@ -32,9 +39,11 @@ ERGODIC_STREAM = 1 << 48
 SIMULATE_CHAIN_STREAM = (1 << 48) + 1
 SIMULATE_NOISE_STREAM = (1 << 48) + 2
 
-# Steps per segment of the parallel-in-time ergodic run (see run_ergodic).
-# It sets the run's speed only, never its output.
+# Steps per segment of the parallel-in-time ergodic grid, and the most
+# segments of a 2x2 word that the ergodic run walks in plain floats instead
+# (see run_ergodic).  They set the run's speed only, never its output.
 _SEGMENT = 1000
+_WALK_SEGMENTS = 100
 
 
 class NonFiniteSampleError(FloatingPointError):
@@ -213,9 +222,7 @@ def run_empirical(
     if samples is None:
         bad = np.flatnonzero(not_positive_definite(p))
         trial = int(bad[0])
-        path = np.empty((cfg.horizon + 1, n, n))
-        path[0] = p0
-        _advance(blocks, p0[None].copy(), words[trial : trial + 1, 1:], path[None, 1:])
+        path = _walk(blocks, p0, words[trial, 1:])
         raise NotPositiveDefiniteError(
             f"empirical trial {trial}: {_breakdown(path, words[trial])}; "
             f"{bad.size} of {cfg.trials} trials end not positive definite"
@@ -253,16 +260,24 @@ def run_ergodic(
     makes time averages converge to the stationary law.  Samples include the
     initial step, so ``horizon + 1`` distances are returned.
 
-    The path is evaluated parallel in time, bit-identical to applying the
-    branch maps one step after another.  The arrival word is padded with
-    arrivals to whole segments of ``_SEGMENT`` steps; segment ``j`` owns the
-    steps after its seam, step ``j * _SEGMENT``.  Each round runs the
-    segments not yet accepted as one batch over their own steps, from the
-    fixed point in the first round and later from the state the predecessor
-    wrote at the seam.  The recursion forgets its start, and in floating
-    point the forgetting is exact: two runs driven by the same word become
-    bit-identical after some hundreds of steps and stay so.  Where every
-    segment forgets within its steps, two rounds finish the path.
+    The path is bit-identical to applying the branch maps one step after
+    another, and it is built one of two ways, chosen by the size of the
+    input alone.  A 2x2 word of at most ``_WALK_SEGMENTS`` segments of
+    ``_SEGMENT`` steps (the desk tables and the full-scale run) is walked in
+    Python floats by ``plant._walk``: on a word that short, numpy call
+    overhead, not arithmetic, is the cost of any batched evaluation.  Longer
+    words and other sizes are evaluated parallel in time on a segment grid,
+    whose overhead is then spread over hundreds of rows.
+
+    The grid pads the arrival word with arrivals to whole segments of
+    ``_SEGMENT`` steps; segment ``j`` owns the steps after its seam, step
+    ``j * _SEGMENT``.  Each round runs the segments not yet accepted as one
+    batch over their own steps, from the fixed point in the first round and
+    later from the state the predecessor wrote at the seam.  The recursion
+    forgets its start, and in floating point the forgetting is exact: two
+    runs driven by the same word become bit-identical after some hundreds of
+    steps and stay so.  Where every segment forgets within its steps, two
+    rounds finish the path.
 
     After each round the segments are walked in order.  Segment ``j`` is
     accepted when its predecessor is and the state it started from equals,
@@ -271,8 +286,8 @@ def run_ergodic(
     agree bit for bit), so an accepted segment wrote exactly the sequential
     values.  Segment 0 starts exactly, and in every later round so does the
     first segment not yet accepted, so at most one round per segment runs
-    whatever the values, NaN and inf included.  ``_SEGMENT`` changes the
-    speed only, never the result.
+    whatever the values, NaN and inf included.  ``_SEGMENT`` and
+    ``_WALK_SEGMENTS`` change the speed only, never the result.
 
     A path whose distances fail because a PCM breaks ``PDMatrix``'s rules
     raises :class:`NotPositiveDefiniteError` naming the first such step and
@@ -284,29 +299,37 @@ def run_ergodic(
     length = cfg.effective_ergodic_length
     gamma_st = stationary_probability(cfg.channel)
     word = sample_chain(cfg.channel, gamma_st, length, seed, stream=ERGODIC_STREAM)
-    path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
+    path = _ergodic_path(prep.mp, prep.p_star.entries, word)
     samples = _checked_distances(prep.p_star, path)
     if samples is None:
         raise NotPositiveDefiniteError(f"ergodic run: {_breakdown(path, word)}")
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
 
 
-def _ergodic_path(
-    mp: ModifiedPlant, p_star: np.ndarray, word: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """PCM path driven by ``word[1:]`` from ``p_star``, and the rounds used.
-
-    ``path[0] = p_star`` and ``path[k]`` is the branch map of ``word[k]``
-    applied to ``path[k - 1]``; see :func:`run_ergodic` for the segmented
-    evaluation and why it is exact.
-    """
+def _ergodic_path(mp: ModifiedPlant, p_star: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """PCM path driven by ``word[1:]`` from ``p_star``: ``path[0] = p_star``
+    and ``path[k]`` is the branch map of ``word[k]`` applied to
+    ``path[k - 1]``.  A 2x2 word of at most ``_WALK_SEGMENTS`` segments is
+    walked one step after another, any other on the segment grid; see
+    :func:`run_ergodic`."""
     blocks = _branch_blocks(mp)
-    length = word.size - 1
+    bits = word[1:]
+    if p_star.shape[0] == 2 and bits.size <= _WALK_SEGMENTS * _SEGMENT:
+        return _walk(blocks, p_star, bits)
+    return _segment_grid(blocks, p_star, bits)[0]
+
+
+def _segment_grid(blocks, p_star: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, int]:
+    """The path of :func:`_ergodic_path` over ``bits`` (the word after its
+    first symbol), evaluated parallel in time on a grid of ``_SEGMENT``-step
+    segments, and the rounds used; see :func:`run_ergodic` for why it is
+    exact."""
+    length = bits.size
     n = p_star.shape[0]
     count = -(-length // _SEGMENT)
-    bits = np.ones(count * _SEGMENT, dtype=word.dtype)
-    bits[:length] = word[1:]
-    rows = bits.reshape(count, _SEGMENT)
+    padded = np.ones(count * _SEGMENT, dtype=bits.dtype)
+    padded[:length] = bits
+    rows = padded.reshape(count, _SEGMENT)
     path = np.empty((count * _SEGMENT + 1, n, n))
     path[0] = p_star
     grid = path[1:].reshape(count, _SEGMENT, n, n)

@@ -9,7 +9,12 @@ the final branch matrices, and runs the structural (controllability /
 observability) checks the convergence theory requires.  It also holds the
 batched branch-map kernel, :func:`_advance`, the one routine that applies
 the two branch maps to stacks of PCMs: the empirical trials, the ergodic
-path and the reachable-set enumeration all step through it.
+segment grid and the reachable-set enumeration all step through it.  Its
+one-matrix companion, :func:`_walk`, moves a single PCM along one word and
+returns the path: a 2x2 PCM in Python floats through the same closed-form
+maps, anything else through ``_advance`` on a one-row stack.  It serves
+the shorter ergodic paths and the replay of a broken-down empirical trial,
+where a numpy call per step would cost far more than the arithmetic.
 
 The kernel holds one state per matrix size.  For ``n = 2`` it is the three
 contiguous entry planes ``p00, p01, p11`` of the symmetric stack, and the
@@ -197,8 +202,9 @@ def _set_planes(out: np.ndarray, x00, x01, x11) -> np.ndarray:
 
 
 # The 2x2 formulas, in the same operation order, are those of the plain-float
-# recursion in perfbench/run.py (``rate_oracle``); every scalar operation is
-# one numpy call over the whole stack.
+# recursion in perfbench/run.py (``rate_oracle``).  On entry planes every
+# scalar operation is one numpy call over the whole stack; on Python floats
+# (``_walk``) the same ``+ - * /`` round the same way.
 
 
 def _gamma0_planes(coef: tuple, p00, p01, p11) -> tuple:
@@ -308,6 +314,49 @@ def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = 
             if out is not None:
                 store(out[:, k], *state)
     store(p, *state)
+
+
+def _walk(blocks, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The path of the one PCM ``p`` over the arrival bits ``bits``: an
+    array of shape ``(len(bits) + 1, n, n)`` with ``path[0] = p`` and
+    ``path[k]`` the branch map of ``bits[k - 1]`` applied to
+    ``path[k - 1]``.  ``blocks`` is ``_branch_blocks(mp)``.
+
+    A 2x2 PCM is walked in Python floats through ``_gamma0_planes`` /
+    ``_gamma1_planes``, which use only ``+ - * /`` and so give the bits of
+    the numpy planes; each step is written straight into the path.  For one
+    matrix a step then costs about as much as two numpy calls, where the
+    plane maps make 29 (open loop) or 60 (measurement).  Any other size,
+    and the rest of a word after a step whose determinant is exactly 0.0
+    (Python raises where numpy gives inf or NaN), go to ``_advance`` on a
+    one-row stack.
+    """
+    n = p.shape[-1]
+    path = np.empty((bits.size + 1, n, n))
+    path[0] = p
+    done = 0
+    if n == 2:
+        a0, w0, a1, w1, k1 = blocks
+        coef0, coef1 = _coefficients(a0, w0), _coefficients(a1, w1, k1)
+        flat = memoryview(path.reshape(-1))
+        x00, x01, x11 = p[0, 0].item(), p[0, 1].item(), p[1, 1].item()
+        for bit in bits.tolist():
+            try:
+                if bit:
+                    x00, x01, x11 = _gamma1_planes(coef1, x00, x01, x11)
+                else:
+                    x00, x01, x11 = _gamma0_planes(coef0, x00, x01, x11)
+            except ZeroDivisionError:
+                break
+            done += 1
+            i = 4 * done
+            flat[i] = x00
+            flat[i + 1] = x01
+            flat[i + 2] = x01
+            flat[i + 3] = x11
+    if done < bits.size:
+        _advance(blocks, path[done : done + 1].copy(), bits[None, done:], path[None, done + 1 :])
+    return path
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from pcmlab.experiments import (
     LN10,
     NonFiniteSampleError,
     _ergodic_path,
+    _segment_grid,
     cluster_intervals,
     cluster_probabilities,
     compare_table,
@@ -28,7 +29,7 @@ from pcmlab.experiments import (
     run_ergodic,
 )
 from pcmlab.pdm import NotPositiveDefiniteError, PDMatrix, not_positive_definite
-from pcmlab.plant import _branch_blocks
+from pcmlab.plant import _advance, _branch_blocks, _walk
 
 from conftest import random_plant
 from oracles import pcm_trajectory, step_float
@@ -222,17 +223,40 @@ def sequential_path(cfg, prep):
 
 
 def assert_segmented_exact(cfg, prep):
-    """The segmented path and samples equal the oracle's bit for bit;
-    returns the number of rounds the segmented path took."""
+    """The segment grid's path and the run's samples equal the oracle's bit
+    for bit; returns the number of rounds the grid took."""
     word, path, samples = sequential_ergodic(cfg, prep)
-    segmented, rounds = _ergodic_path(prep.mp, prep.p_star.entries, word)
-    assert segmented.tobytes() == path.tobytes()
+    grid, rounds = _segment_grid(_branch_blocks(prep.mp), prep.p_star.entries, word[1:])
+    assert grid.tobytes() == path.tobytes()
     assert run_ergodic(cfg, prep)[0].tobytes() == samples.tobytes()
     assert 1 <= rounds <= -(-(word.size - 1) // experiments._SEGMENT)
     return rounds
 
 
+def assert_walked_exact(cfg, prep):
+    """The ergodic path equals the oracle's bit for bit; returns it."""
+    word, path = sequential_path(cfg, prep)
+    walked = _ergodic_path(prep.mp, prep.p_star.entries, word)
+    assert walked.tobytes() == path.tobytes()
+    return walked
+
+
+def spy(monkeypatch, name):
+    """Replace ``experiments.<name>`` by a wrapper that counts its calls."""
+    real, calls = getattr(experiments, name), []
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, name, wrapper)
+    return calls
+
+
 class TestSegmentedErgodic:
+    """The segment grid, called directly: desk words take the walk in the
+    run, so these keep the grid's re-run rounds tested."""
+
     @pytest.mark.parametrize("name", DESK_CONFIGS)
     def test_desk_configs_bitwise(self, name):
         cfg = load_config(CONFIGS / name)
@@ -273,6 +297,72 @@ class TestSegmentedErgodic:
         # ends within the segment count.
         cfg = overflow_config(tmp_path, ergodic_length=5 * experiments._SEGMENT)
         assert assert_segmented_exact(cfg, prepare(cfg)) >= 4
+
+
+class TestWalk:
+    """The plain-float walk that serves 2x2 words of at most
+    ``_WALK_SEGMENTS`` segments, against the step-by-step oracle."""
+
+    @pytest.mark.parametrize("name", DESK_CONFIGS)
+    def test_desk_configs_bitwise(self, monkeypatch, name):
+        grid = spy(monkeypatch, "_segment_grid")
+        cfg = load_config(CONFIGS / name)
+        assert_walked_exact(cfg, prepare(cfg))
+        assert not grid
+
+    def test_heavy_loss_seed_18_bitwise(self):
+        cfg = replace(load_config(CONFIGS / "paper_section5_heavy.json"), master_seed=18)
+        assert_walked_exact(cfg, prepare(cfg))
+
+    @pytest.mark.parametrize(
+        "length",
+        [1, experiments._SEGMENT - 1, experiments._SEGMENT, experiments._SEGMENT + 1],
+    )
+    def test_lengths_around_segment_bitwise(self, ref_cfg, ref_prep, length):
+        assert_walked_exact(replace(ref_cfg, ergodic_length=length), ref_prep)
+
+    def test_overflow_plant_bitwise_through_nan(self, tmp_path):
+        cfg = overflow_config(tmp_path, ergodic_length=20_000)
+        with np.errstate(all="ignore"):
+            path = assert_walked_exact(cfg, prepare(cfg))
+        assert np.isnan(path).any()
+
+    def test_word_over_the_limit_takes_the_grid(self, monkeypatch, ref_cfg, ref_prep):
+        monkeypatch.setattr(experiments, "_WALK_SEGMENTS", 2)
+        limit = 2 * experiments._SEGMENT
+        walk, grid = spy(monkeypatch, "_walk"), spy(monkeypatch, "_segment_grid")
+        assert_walked_exact(replace(ref_cfg, ergodic_length=limit), ref_prep)
+        assert (len(walk), len(grid)) == (1, 0)
+        assert_walked_exact(replace(ref_cfg, ergodic_length=limit + 1), ref_prep)
+        assert (len(walk), len(grid)) == (1, 1)
+
+    def test_three_state_plant_takes_the_grid(self, monkeypatch):
+        grid = spy(monkeypatch, "_segment_grid")
+        plant = random_plant(np.random.default_rng(7), n=3, m=2, p=2, n_err=1)
+        cfg = ExperimentConfig(
+            plant=plant, channel=ChannelParams(0.8, 0.3), ergodic_length=300, master_seed=3,
+        )
+        prep = prepare(cfg)
+        word = sample_chain(cfg.channel, stationary_probability(cfg.channel),
+                            cfg.ergodic_length, cfg.master_seed, stream=ERGODIC_STREAM)
+        path = _ergodic_path(prep.mp, prep.p_star.entries, word)
+        assert len(grid) == 1
+        want = _walk(_branch_blocks(prep.mp), prep.p_star.entries, word[1:])
+        assert path.tobytes() == want.tobytes()
+
+    def test_zero_determinant_falls_back_to_the_kernel(self):
+        # a1 = 0, w1 = I, k1 = -I: every arrival makes I + k1 z = 0, which
+        # Python floats refuse to divide by and numpy turns into NaN.
+        blocks = (np.array([[1.1, 0.2], [0.0, 0.9]]), np.eye(2), np.zeros((2, 2)),
+                  np.eye(2), -np.eye(2))
+        bits = np.array([0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
+        p = np.array([[2.0, 0.5], [0.5, 1.0]])
+        want = np.empty((bits.size + 1, 2, 2))
+        want[0] = p
+        _advance(blocks, p[None].copy(), bits[None], want[None, 1:])
+        got = _walk(blocks, p, bits)
+        assert np.isfinite(got[:3]).all() and np.isnan(got[3:]).all()
+        assert got.tobytes() == want.tobytes()
 
 
 def overflow_config(tmp_path, **fields):

@@ -264,7 +264,7 @@ class TestBranchKernel:
         prep = prepare(cfg)
         word = sample_chain(cfg.channel, stationary_probability(cfg.channel), 5000,
                             cfg.master_seed, stream=ERGODIC_STREAM)
-        path, _ = _ergodic_path(prep.mp, prep.p_star.entries, word)
+        path = _ergodic_path(prep.mp, prep.p_star.entries, word)
         assert np.abs(path).max() > 1e8
         blocks = _branch_blocks(prep.mp)
         a0, w0, a1, w1, k1 = blocks

@@ -55,14 +55,19 @@ def test_traced_layer_functions_resolve():
 def test_stack_jobs_reach_the_branch_maps_only_through_the_kernel():
     # The stack representation and the branch maps are private to
     # pcmlab.plant; the Monte-Carlo runs and the enumeration step their
-    # stacks through _advance.
-    for module in (pcmlab.experiments, pcmlab.stationary):
+    # stacks through _advance, and the experiments walk one PCM's path
+    # through _walk.
+    allowed = {
+        pcmlab.experiments: {"_advance", "_branch_blocks", "_walk"},
+        pcmlab.stationary: {"_advance", "_branch_blocks"},
+    }
+    for module, names in allowed.items():
         bound = {
             name for name, value in vars(module).items()
             if name.startswith("_") and not name.startswith("__")
             and vars(pcmlab.plant).get(name) is value
         }
-        assert bound <= {"_advance", "_branch_blocks"}, module.__name__
+        assert bound <= names, module.__name__
 
 
 def test_cli_import_loads_no_scipy():
