@@ -13,8 +13,8 @@ on whether the measurement arrived.  Two numeric paths evaluate those maps:
   :mod:`pcmlab.experiments` and the reachable-set enumeration of
   :mod:`pcmlab.stationary`.  Its one-matrix companion ``_walk`` evaluates
   the same maps in Python floats, with the same bits, for the 2x2 ergodic
-  paths of at most 100k steps and the replay of a broken-down empirical
-  trial.
+  paths of at most 100k steps, the verify walk of the segment grid and the
+  replay of a broken-down empirical trial.
 
 The two paths agree to about 5e-15 per step but not bit for bit, so neither
 replaces the other silently.  That figure holds for PCMs at the scale of

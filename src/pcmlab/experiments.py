@@ -267,27 +267,29 @@ def run_ergodic(
     Python floats by ``plant._walk``: on a word that short, numpy call
     overhead, not arithmetic, is the cost of any batched evaluation.  Longer
     words and other sizes are evaluated parallel in time on a segment grid,
-    whose overhead is then spread over hundreds of rows.
+    whose overhead is then spread over hundreds of rows, and then verified.
 
     The grid pads the arrival word with arrivals to whole segments of
     ``_SEGMENT`` steps; segment ``j`` owns the steps after its seam, step
-    ``j * _SEGMENT``.  Each round runs the segments not yet accepted as one
-    batch over their own steps, from the fixed point in the first round and
-    later from the state the predecessor wrote at the seam.  The recursion
-    forgets its start, and in floating point the forgetting is exact: two
-    runs driven by the same word become bit-identical after some hundreds of
-    steps and stay so.  Where every segment forgets within its steps, two
-    rounds finish the path.
+    ``j * _SEGMENT``.  One batched pass runs every segment over its own
+    steps from the fixed point.  The recursion forgets its start, and in
+    floating point the forgetting is exact: two runs driven by the same word
+    become bit-identical after some hundreds of steps and stay so.  So
+    segment 0 is exact, and every later one is exact from the first step at
+    which it meets the true path.
 
-    After each round the segments are walked in order.  Segment ``j`` is
-    accepted when its predecessor is and the state it started from equals,
-    bit for bit, the state its predecessor wrote at its seam.  The maps are
-    deterministic functions of their input bits (batched and single calls
-    agree bit for bit), so an accepted segment wrote exactly the sequential
-    values.  Segment 0 starts exactly, and in every later round so does the
-    first segment not yet accepted, so at most one round per segment runs
-    whatever the values, NaN and inf included.  ``_SEGMENT`` and
-    ``_WALK_SEGMENTS`` change the speed only, never the result.
+    A verify walk finds that step.  Segment by segment, in order, it walks
+    from the exact state at the seam through ``plant._walk``'s maps and
+    stops at the first step whose state equals, bit for bit, the value the
+    batched pass stored there.  The maps are deterministic functions of
+    their input bits (batched and single calls agree bit for bit), so the
+    stored rest of the segment, and with it the next seam, is the exact
+    path.  A segment that never meets its stored values is walked to its
+    end, which leaves its seam exact just the same.  The result is exact
+    whatever the values, NaN and inf included, and ``_SEGMENT`` and
+    ``_WALK_SEGMENTS`` change the speed only, never the result.  On the
+    moderate config at 200k steps a segment meets the true path after a
+    median of about 220 steps.
 
     A path whose distances fail because a PCM breaks ``PDMatrix``'s rules
     raises :class:`NotPositiveDefiniteError` naming the first such step and
@@ -319,30 +321,28 @@ def _ergodic_path(mp: ModifiedPlant, p_star: np.ndarray, word: np.ndarray) -> np
     return _segment_grid(blocks, p_star, bits)[0]
 
 
-def _segment_grid(blocks, p_star: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, int]:
+def _segment_grid(blocks, p_star: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The path of :func:`_ergodic_path` over ``bits`` (the word after its
     first symbol), evaluated parallel in time on a grid of ``_SEGMENT``-step
-    segments, and the rounds used; see :func:`run_ergodic` for why it is
-    exact."""
+    segments and made exact by a verify walk, and the steps that walk took
+    in each segment; see :func:`run_ergodic` for why it is exact."""
     length = bits.size
     n = p_star.shape[0]
     count = -(-length // _SEGMENT)
     padded = np.ones(count * _SEGMENT, dtype=bits.dtype)
     padded[:length] = bits
-    rows = padded.reshape(count, _SEGMENT)
     path = np.empty((count * _SEGMENT + 1, n, n))
     path[0] = p_star
-    grid = path[1:].reshape(count, _SEGMENT, n, n)
-    seams = path[:-1:_SEGMENT]
     start = np.broadcast_to(p_star, (count, n, n)).copy()
-    first, rounds = 0, 0
-    while first < count:
-        rounds += 1
-        _advance(blocks, start[first:].copy(), rows[first:], grid[first:])
-        same = np.all(start[first:].view(np.uint64) == seams[first:].view(np.uint64), axis=(1, 2))
-        first += int(np.logical_and.accumulate(same).sum())
-        start[first:] = seams[first:]
-    return path[: length + 1], rounds
+    grid = path[1:].reshape(count, _SEGMENT, n, n)
+    _advance(blocks, start, padded.reshape(count, _SEGMENT), grid)
+    walked = np.zeros(count, dtype=np.int64)
+    for j in range(1, count):
+        seam, end = j * _SEGMENT, (j + 1) * _SEGMENT
+        exact = _walk(blocks, path[seam], padded[seam:end], path[seam + 1 : end + 1])
+        path[seam : seam + len(exact)] = exact
+        walked[j] = len(exact) - 1
+    return path[: length + 1], walked
 
 
 def cluster_intervals(distances: np.ndarray, n_s: int) -> list:

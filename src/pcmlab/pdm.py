@@ -8,17 +8,20 @@ one covariance update, and the construction of the paired symplectic update
 matrices for the dropped/received measurement branches.
 
 The module needs numpy only.  For 2x2 pairs, the size of every bundled
-config, the distance reproduces LAPACK's generalized eigensolver bit for bit:
-:func:`riemannian_distance` writes out the ``dsygs2`` reduction (itype 1,
-lower) in LAPACK's operation order with exact fused multiply-adds, and
-:func:`distances_to` writes out the triangular inverse.  ``results/`` and the
-benchmark reference pin those bits through the distance ladder, and the
-exact FMA keeps the 2x2 reduction independent of which BLAS kernel happens
-to be dispatched.
+config, the distance reproduces LAPACK's generalized eigensolver bit for bit
+without calling an eigensolver: :func:`riemannian_distance` writes out the
+``dsygs2`` reduction (itype 1, lower) in LAPACK's operation order with exact
+fused multiply-adds, :func:`distances_to` writes out the triangular inverse,
+and both take the eigenvalues of the whitened matrix in closed form as
+``dsyevd`` computes them for n = 2 (:func:`_eigvalsh_2x2`).  ``results/``
+and the benchmark reference pin those bits through the distance ladder, and
+the exact FMA keeps the 2x2 reduction independent of which BLAS kernel
+happens to be dispatched.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +34,19 @@ PD_EIG_RTOL = 1e-12
 COND_LIMIT = 1e12
 # Per-entry absolute tolerance for the symplectic identity M^T J M = J.
 SYMPLECTIC_ATOL = 1e-8
+
+# LAPACK's dlamch('E') (half the machine epsilon) and its square: the split
+# and convergence tolerances of dsterf.
+_LAPACK_EPS = 2.0**-53
+_LAPACK_EPS2 = _LAPACK_EPS * _LAPACK_EPS
+# Largest-entry magnitudes of a 2x2 matrix for which the closed-form
+# eigenvalues apply.  dsyevd rescales outside about [1e-146, 1e146] and
+# dsterf outside about [1.5e-123, 2.2e153]; a matrix outside this
+# conservative band (or with a non-finite entry) goes to LAPACK itself.
+_EIG_BAND = (1e-100, 1e100)
+# Matrices whitened and solved per pass of distances_to; it bounds the
+# temporaries, which would otherwise be several times the input.
+_CHUNK = 4096
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -176,12 +192,13 @@ def _inv_lower(chol: np.ndarray) -> np.ndarray:
     return np.array([[x00, 0.0], [-(l10 * x00) * x11, x11]])
 
 
-def _reduce_2x2(a: np.ndarray, chol: np.ndarray) -> np.ndarray:
+def _reduce_2x2(a: np.ndarray, chol: np.ndarray) -> tuple:
     """``inv(L) a inv(L)^T`` for 2x2 ``a``, as LAPACK ``dsygs2`` computes it.
 
     ``dsygs2`` (itype 1, lower) in its own operation order, with the
     multiply-adds of its BLAS calls fused exactly.  Reads the lower triangle
-    of ``a``.
+    of ``a`` and returns the whitened matrix as its entries
+    ``(w00, w10, w11)``.
     """
     (a00, _), (a10, a11) = a.tolist()
     (l00, _), (l10, l11) = chol.tolist()
@@ -193,7 +210,80 @@ def _reduce_2x2(a: np.ndarray, chol: np.ndarray) -> np.ndarray:
     a10 = _fma(ct, l10, a10)
     a10 = a10 / l11
     a11 = a11 / (l11 * l11)
-    return np.array([[akk, a10], [a10, a11]])
+    return akk, a10, a11
+
+
+def _eig_2x2(d0: float, e: float, d1: float) -> tuple:
+    """Ascending eigenvalues of the symmetric 2x2 matrix with diagonal
+    ``d0, d1`` and off-diagonal ``e``, bit for bit those of
+    ``np.linalg.eigvalsh``; the one-matrix form of :func:`_eigvalsh_2x2`.
+    The inputs must be finite."""
+    if not _EIG_BAND[0] <= max(abs(d0), abs(e), abs(d1)) <= _EIG_BAND[1]:
+        return tuple(np.linalg.eigvalsh(np.array([[d0, e], [e, d1]])).tolist())
+    e2 = e * e
+    if (abs(e) <= (math.sqrt(abs(d0)) * math.sqrt(abs(d1))) * _LAPACK_EPS
+            or e2 <= _LAPACK_EPS2 * abs(d0 * d1)):
+        rt1, rt2 = d0, d1
+    else:
+        b = math.sqrt(e2)
+        acmx, acmn = (d0, d1) if abs(d1) < abs(d0) else (d1, d0)
+        sm = d0 + d1
+        adf = abs(d0 - d1)
+        ab = abs(b + b)
+        if adf > ab:
+            rt = adf * math.sqrt(1.0 + (ab / adf) * (ab / adf))
+        elif adf < ab:
+            rt = ab * math.sqrt(1.0 + (adf / ab) * (adf / ab))
+        else:
+            rt = ab * math.sqrt(2.0)
+        if sm == 0.0:
+            rt1, rt2 = 0.5 * rt, -0.5 * rt
+        else:
+            rt1 = 0.5 * (sm - rt if sm < 0.0 else sm + rt)
+            rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+    return (rt1, rt2) if rt1 <= rt2 else (rt2, rt1)
+
+
+def _eigvalsh_2x2(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of symmetric 2x2 matrices, bit for
+    bit those of ``np.linalg.eigvalsh(mats)``, in closed form.
+
+    ``eigvalsh`` calls LAPACK ``dsyevd`` with the lower triangle, which for
+    n = 2 is ``dsterf`` on the diagonal ``d0, d1`` and the subdiagonal
+    ``e = mats[..., 1, 0]``.  ``dsterf`` keeps the diagonal as the
+    eigenvalues when ``e`` passes its split test or, squared, its
+    convergence test; otherwise it calls ``dlae2`` on ``(d0, |e|, d1)``,
+    and in both of its iteration directions the diagonal of larger
+    magnitude (``d1`` on a tie) becomes ``dlae2``'s ``acmx``.  The two
+    values are sorted ascending, as ``dlasrt`` does.  Every step is one
+    correctly rounded operation, written in LAPACK's order.
+
+    A stack with a non-finite entry, or a matrix whose largest entry lies
+    outside ``_EIG_BAND`` (where LAPACK would rescale first), goes to
+    ``eigvalsh`` itself, so the result and the errors are always its own.
+    """
+    d0, e, d1 = mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]
+    top = np.maximum(np.maximum(np.abs(d0), np.abs(e)), np.abs(d1))
+    if not ((top >= _EIG_BAND[0]) & (top <= _EIG_BAND[1])).all():
+        return np.linalg.eigvalsh(mats)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e2 = e * e
+        split = np.abs(e) <= (np.sqrt(np.abs(d0)) * np.sqrt(np.abs(d1))) * _LAPACK_EPS
+        split |= e2 <= _LAPACK_EPS2 * np.abs(d0 * d1)
+        b = np.sqrt(e2)
+        first = np.abs(d1) < np.abs(d0)
+        acmx = np.where(first, d0, d1)
+        acmn = np.where(first, d1, d0)
+        sm = d0 + d1
+        adf = np.abs(d0 - d1)
+        ab = np.abs(b + b)
+        big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+        rt = np.where(adf == ab, ab * np.sqrt(2.0), big * np.sqrt(1.0 + (small / big) ** 2))
+        rt1 = 0.5 * np.where(sm < 0.0, sm - rt, np.where(sm > 0.0, sm + rt, rt))
+        rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+    rt1 = np.where(split, d0, rt1)
+    rt2 = np.where(split, d1, rt2)
+    return np.stack([np.minimum(rt1, rt2), np.maximum(rt1, rt2)], axis=-1)
 
 
 def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> float:
@@ -207,7 +297,8 @@ def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> f
 
     For n = 2 the whitening is LAPACK ``dsygs2``'s reduction (the one inside
     ``dsygvd``) written out in its operation order, with exact fused
-    multiply-adds.  That keeps every distance bit of the generalized
+    multiply-adds, and the eigenvalues are ``dsyevd``'s, in closed form
+    (:func:`_eig_2x2`).  That keeps every distance bit of the generalized
     eigensolver, which ``results/`` and the perfbench reference pin through
     the distance ladder, and the exact FMA makes the result independent of
     which BLAS kernel is dispatched.  Other sizes whiten with the inverse
@@ -240,13 +331,16 @@ def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> f
         chol = np.linalg.cholesky(b)
         if a.shape[-1] == 2:
             white = _reduce_2x2(a, chol)
+            if not all(map(math.isfinite, white)):
+                raise ArithmeticError("the whitened matrix has non-finite entries")
+            w = np.array(_eig_2x2(*white))
         else:
             inv_chol = _inv_lower(chol)
             with np.errstate(over="ignore", invalid="ignore"):
                 white = inv_chol @ a @ inv_chol.T
-        if not np.isfinite(white).all():
-            raise ArithmeticError("the whitened matrix has non-finite entries")
-        w = np.linalg.eigvalsh(white)
+            if not np.isfinite(white).all():
+                raise ArithmeticError("the whitened matrix has non-finite entries")
+            w = np.linalg.eigvalsh(white)
     except (ArithmeticError, ValueError) as exc:
         # LinAlgError is a ValueError; whitening a pair of extreme scales
         # overflows into an ArithmeticError or a non-finite matrix.
@@ -279,23 +373,35 @@ def distances_to(reference: PDMatrix | np.ndarray, mats: np.ndarray) -> np.ndarr
 
     Notes
     -----
-    Whitens once with the inverse Cholesky factor of ``reference`` and runs a
-    batched symmetric eigensolve, so it is the preferred path for sample sets.
+    Whitens with the inverse Cholesky factor of ``reference`` and solves the
+    symmetric eigenproblems ``_CHUNK`` matrices at a time, so the
+    temporaries stay small whatever the stack's size.  The whitening
+    ``inv_chol @ chunk @ inv_chol.T`` is evaluated as two ``np.matmul``
+    calls with a contiguous transposed factor, which gives the same bits as
+    the one-expression form at twice its speed.  For n = 2 the eigenvalues
+    are LAPACK's, in closed form (:func:`_eigvalsh_2x2`); other sizes call
+    ``np.linalg.eigvalsh``.
     """
     mats = np.asarray(mats, dtype=float)
     if not np.isfinite(mats).all():
         raise NotPositiveDefiniteError("a sample matrix has non-finite entries")
     ref = np.asarray(reference, dtype=float)
     inv_chol = _inv_lower(np.linalg.cholesky(ref))
-    with np.errstate(over="ignore", invalid="ignore"):
-        white = inv_chol @ mats @ inv_chol.T
-    try:
-        w = np.linalg.eigvalsh(white)
-    except np.linalg.LinAlgError as exc:  # an overflowed whitening
-        raise NotPositiveDefiniteError(f"a sample matrix failed to whiten: {exc}") from exc
-    if not ((w > 0.0) & (w < np.inf)).all():
-        raise NotPositiveDefiniteError("a sample matrix is not positive definite")
-    return np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+    inv_chol_t = np.ascontiguousarray(inv_chol.T)
+    eigvalsh = _eigvalsh_2x2 if ref.shape[-1] == 2 else np.linalg.eigvalsh
+    flat = mats.reshape((-1,) + mats.shape[-2:])
+    out = np.empty(flat.shape[0])
+    for lo in range(0, flat.shape[0], _CHUNK):
+        with np.errstate(over="ignore", invalid="ignore"):
+            white = np.matmul(np.matmul(inv_chol, flat[lo : lo + _CHUNK]), inv_chol_t)
+        try:
+            w = eigvalsh(white)
+        except np.linalg.LinAlgError as exc:  # an overflowed whitening
+            raise NotPositiveDefiniteError(f"a sample matrix failed to whiten: {exc}") from exc
+        if not ((w > 0.0) & (w < np.inf)).all():
+            raise NotPositiveDefiniteError("a sample matrix is not positive definite")
+        out[lo : lo + _CHUNK] = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+    return out.reshape(mats.shape[:-2])
 
 
 def homographic(phi: np.ndarray, p: PDMatrix | np.ndarray) -> PDMatrix:

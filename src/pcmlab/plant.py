@@ -13,8 +13,10 @@ segment grid and the reachable-set enumeration all step through it.  Its
 one-matrix companion, :func:`_walk`, moves a single PCM along one word and
 returns the path: a 2x2 PCM in Python floats through the same closed-form
 maps, anything else through ``_advance`` on a one-row stack.  It serves
-the shorter ergodic paths and the replay of a broken-down empirical trial,
-where a numpy call per step would cost far more than the arithmetic.
+the shorter ergodic paths, the exact verify walk of the longer ones (where
+it stops as soon as it meets a known path) and the replay of a broken-down
+empirical trial, where a numpy call per step would cost far more than the
+arithmetic.
 
 The kernel holds one state per matrix size.  For ``n = 2`` it is the three
 contiguous entry planes ``p00, p01, p11`` of the symmetric stack, and the
@@ -316,11 +318,18 @@ def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = 
     store(p, *state)
 
 
-def _walk(blocks, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
+def _walk(blocks, p: np.ndarray, bits: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
     """The path of the one PCM ``p`` over the arrival bits ``bits``: an
     array of shape ``(len(bits) + 1, n, n)`` with ``path[0] = p`` and
     ``path[k]`` the branch map of ``bits[k - 1]`` applied to
     ``path[k - 1]``.  ``blocks`` is ``_branch_blocks(mp)``.
+
+    ``known``, when given, is a stack shaped like ``path[1:]``: the path
+    over the same bits from some other start.  The walk then stops after
+    the first step ``k`` whose state equals ``known[k - 1]`` bit for bit and
+    returns ``path[: k + 1]``.  The maps are deterministic functions of
+    their input bits, so from that step on ``known`` holds the exact path.
+    A walk that never meets ``known`` returns the whole path.
 
     A 2x2 PCM is walked in Python floats through ``_gamma0_planes`` /
     ``_gamma1_planes``, which use only ``+ - * /`` and so give the bits of
@@ -328,8 +337,8 @@ def _walk(blocks, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
     matrix a step then costs about as much as two numpy calls, where the
     plane maps make 29 (open loop) or 60 (measurement).  Any other size,
     and the rest of a word after a step whose determinant is exactly 0.0
-    (Python raises where numpy gives inf or NaN), go to ``_advance`` on a
-    one-row stack.
+    (Python raises where numpy gives inf or NaN), step through ``_advance``
+    on a one-row stack.
     """
     n = p.shape[-1]
     path = np.empty((bits.size + 1, n, n))
@@ -339,6 +348,9 @@ def _walk(blocks, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
         a0, w0, a1, w1, k1 = blocks
         coef0, coef1 = _coefficients(a0, w0), _coefficients(a1, w1, k1)
         flat = memoryview(path.reshape(-1))
+        # The same entries as integers, so that a match is a match of bits.
+        got = memoryview(path.reshape(-1).view(np.uint64))
+        want = None if known is None else memoryview(known.reshape(-1).view(np.uint64))
         x00, x01, x11 = p[0, 0].item(), p[0, 1].item(), p[1, 1].item()
         for bit in bits.tolist():
             try:
@@ -354,8 +366,15 @@ def _walk(blocks, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
             flat[i + 1] = x01
             flat[i + 2] = x01
             flat[i + 3] = x11
-    if done < bits.size:
-        _advance(blocks, path[done : done + 1].copy(), bits[None, done:], path[None, done + 1 :])
+            if want is not None and got[i] == want[i - 4] and got[i : i + 4] == want[i - 4 : i]:
+                return path[: done + 1]
+    while done < bits.size:
+        state = path[done : done + 1].copy()
+        _advance(blocks, state, bits[None, done : done + 1])
+        done += 1
+        path[done] = state[0]
+        if known is not None and path[done].tobytes() == known[done - 1].tobytes():
+            return path[: done + 1]
     return path
 
 

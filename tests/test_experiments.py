@@ -224,13 +224,16 @@ def sequential_path(cfg, prep):
 
 def assert_segmented_exact(cfg, prep):
     """The segment grid's path and the run's samples equal the oracle's bit
-    for bit; returns the number of rounds the grid took."""
+    for bit; returns the steps the verify walk took in each segment."""
     word, path, samples = sequential_ergodic(cfg, prep)
-    grid, rounds = _segment_grid(_branch_blocks(prep.mp), prep.p_star.entries, word[1:])
+    grid, walked = _segment_grid(_branch_blocks(prep.mp), prep.p_star.entries, word[1:])
     assert grid.tobytes() == path.tobytes()
     assert run_ergodic(cfg, prep)[0].tobytes() == samples.tobytes()
-    assert 1 <= rounds <= -(-(word.size - 1) // experiments._SEGMENT)
-    return rounds
+    # Segment 0 is exact from the batched pass; every later one walks at
+    # least the step that meets (or replaces) its stored value.
+    assert walked[0] == 0 and (walked[1:] >= 1).all()
+    assert (walked <= experiments._SEGMENT).all()
+    return walked
 
 
 def assert_walked_exact(cfg, prep):
@@ -255,7 +258,7 @@ def spy(monkeypatch, name):
 
 class TestSegmentedErgodic:
     """The segment grid, called directly: desk words take the walk in the
-    run, so these keep the grid's re-run rounds tested."""
+    run, so these keep the grid's batched pass and verify walk tested."""
 
     @pytest.mark.parametrize("name", DESK_CONFIGS)
     def test_desk_configs_bitwise(self, name):
@@ -263,11 +266,24 @@ class TestSegmentedErgodic:
         assert_segmented_exact(cfg, prepare(cfg))
 
     def test_heavy_loss_rerun_rounds_bitwise(self):
-        # Under heavy loss some segments do not forget the first round's
-        # guess within their steps; this word needs re-run rounds beyond the
-        # second, which must still be exact.
+        # Under heavy loss some segments do not forget the fixed point within
+        # their steps: the verify walk crosses at least one whole segment
+        # without meeting the batched pass's values, and must stay exact.
         cfg = replace(load_config(CONFIGS / "paper_section5_heavy.json"), master_seed=18)
-        assert assert_segmented_exact(cfg, prepare(cfg)) >= 3
+        walked = assert_segmented_exact(cfg, prepare(cfg))
+        assert walked.max() == experiments._SEGMENT
+
+    def test_moderate_long_word_bitwise_against_walk(self):
+        # The benchmark's rate word: 200 segments, each met by the verify
+        # walk after some hundreds of steps, never at its end.
+        cfg = load_config(CONFIGS / "paper_section5_moderate.json")
+        prep = prepare(cfg)
+        word = sample_chain(cfg.channel, stationary_probability(cfg.channel),
+                            200_000, cfg.master_seed, stream=ERGODIC_STREAM)
+        blocks = _branch_blocks(prep.mp)
+        grid, walked = _segment_grid(blocks, prep.p_star.entries, word[1:])
+        assert grid.tobytes() == _walk(blocks, prep.p_star.entries, word[1:]).tobytes()
+        assert 1 <= walked[1:].min() and walked.max() < experiments._SEGMENT
 
     @pytest.mark.parametrize(
         "length",
@@ -288,15 +304,18 @@ class TestSegmentedErgodic:
         cfg = replace(
             load_config(CONFIGS / "paper_section5_heavy.json"), ergodic_length=500
         )
-        assert assert_segmented_exact(cfg, prepare(cfg)) > 1
+        walked = assert_segmented_exact(cfg, prepare(cfg))
+        assert (walked == segment).any()
 
     def test_rounds_bounded_without_coalescence(self, tmp_path):
         # With a scaled by 8 the recursion forgets its start far more slowly:
-        # no segment forgets the first round's guess within its steps,
-        # re-run rounds accept about one segment each, and the loop still
-        # ends within the segment count.
+        # no segment meets the batched pass's values within its steps, the
+        # verify walk crosses every later segment whole, and the path stays
+        # exact through the breakdown.
         cfg = overflow_config(tmp_path, ergodic_length=5 * experiments._SEGMENT)
-        assert assert_segmented_exact(cfg, prepare(cfg)) >= 4
+        with np.errstate(all="ignore"):
+            walked = assert_segmented_exact(cfg, prepare(cfg))
+        assert (walked[1:] == experiments._SEGMENT).all()
 
 
 class TestWalk:
@@ -334,7 +353,10 @@ class TestWalk:
         assert_walked_exact(replace(ref_cfg, ergodic_length=limit), ref_prep)
         assert (len(walk), len(grid)) == (1, 0)
         assert_walked_exact(replace(ref_cfg, ergodic_length=limit + 1), ref_prep)
-        assert (len(walk), len(grid)) == (1, 1)
+        assert len(grid) == 1
+        # Past the limit the only walks are the grid's verify walks, one per
+        # later segment, each against the batched pass's values.
+        assert [len(args) for args in walk[1:]] == [4, 4]
 
     def test_three_state_plant_takes_the_grid(self, monkeypatch):
         grid = spy(monkeypatch, "_segment_grid")
@@ -363,6 +385,39 @@ class TestWalk:
         got = _walk(blocks, p, bits)
         assert np.isfinite(got[:3]).all() and np.isnan(got[3:]).all()
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_known_path_stops_at_the_first_bitwise_match(self, n):
+        # Two starts driven by one word meet bit for bit; the walk from the
+        # second start stops there, and the rest of the first path is its own.
+        rng = np.random.default_rng(n)
+        plant = random_plant(rng, n=n, m=2, p=2, n_err=1)
+        cfg = ExperimentConfig(plant=plant, channel=ChannelParams(0.8, 0.3), master_seed=5)
+        prep = prepare(cfg)
+        blocks = _branch_blocks(prep.mp)
+        bits = sample_chain(cfg.channel, 0.5, 3000, 5)[1:]
+        known = _walk(blocks, prep.p_star.entries, bits)
+        exact = _walk(blocks, 1e3 * np.eye(n), bits)
+        met = int(np.flatnonzero([x.tobytes() == y.tobytes() for x, y in zip(exact, known)])[0])
+        walked = _walk(blocks, 1e3 * np.eye(n), bits, known[1:])
+        assert len(walked) == met + 1
+        assert np.concatenate([walked, known[met + 1 :]]).tobytes() == exact.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_known_path_matches_bits_not_values(self, n):
+        # Diagonal maps keep every off-diagonal entry at 0.0; a known path
+        # holding -0.0 there equals the walk as floats but not as bits, so
+        # the walk must pass those steps and stop at the first true match.
+        eye = np.eye(n)
+        blocks = (np.diag(np.linspace(1.1, 0.9, n)), eye, 0.5 * eye, eye, eye)
+        bits = np.array([0, 1, 0, 0, 1, 1, 0, 1], dtype=np.uint8)
+        exact = _walk(blocks, eye, bits)
+        assert (exact[:, 0, 1] == 0.0).all() and not np.signbit(exact[:, 0, 1]).any()
+        known = exact[1:].copy()
+        known[:3, 0, 1] = known[:3, 1, 0] = -0.0
+        walked = _walk(blocks, eye, bits, known)
+        assert len(walked) == 5
+        assert walked.tobytes() == exact[:5].tobytes()
 
 
 def overflow_config(tmp_path, **fields):
@@ -553,6 +608,22 @@ class TestRateStudy:
     def test_envelope_ratio_bounded(self, study):
         ratios = [env for _, _, env in study if env > 0]
         assert max(ratios) / min(ratios) < 20
+
+    def test_traced_memory_peak(self):
+        # The benchmark's rate run: 200k steps on moderate loss.  It holds
+        # the path (6.4 MB), the distances and their decimal-log copy
+        # (1.6 MB each) and chunk-sized temporaries: a traced peak of
+        # 12.4 MB.  Whitening and solving the whole path at once took it to
+        # about 21 MB; the bound sits between the two.
+        cfg = replace(load_config(CONFIGS / "paper_section5_moderate.json"), ergodic_length=200_000)
+        prep = prepare(cfg)
+        tracemalloc.start()
+        try:
+            rate_study(cfg, [1_000, 10_000, 100_000], prep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 15_000_000
 
     def test_checkpoints_validated(self, ref_cfg, ref_prep):
         with pytest.raises(ValueError, match="increasing"):

@@ -14,6 +14,9 @@ from pcmlab.pdm import (
     SingularMatrixError,
     SymplecticPair,
     build_symplectic_pair,
+    _CHUNK,
+    _eig_2x2,
+    _eigvalsh_2x2,
     _fma,
     _inv_lower,
     distances_to,
@@ -272,6 +275,88 @@ class TestScipyOracle:
             assert riemannian_distance(p, q) == pytest.approx(
                 scipy_riemannian_distance(p, q), rel=1e-12
             )
+
+
+def _eigen_cases(rng, count: int) -> dict:
+    """Named stacks of 2x2 matrices covering each branch of LAPACK's n = 2
+    eigenvalue path; the upper triangle is independent noise."""
+    def stack(d0, e, d1):
+        mats = np.empty((count, 2, 2))
+        mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1] = d0, e, d1
+        mats[:, 0, 1] = rng.standard_normal(count)
+        return mats
+
+    def scales(lo, hi):
+        return 10.0 ** rng.uniform(lo, hi, count)[:, None, None]
+
+    g = lambda: rng.standard_normal(count)  # noqa: E731
+    d = g()
+    ints = lambda: rng.integers(-3, 4, count).astype(float)  # noqa: E731
+    m = rng.standard_normal((count, 2, 2))
+    return {
+        "positive definite": (m @ np.swapaxes(m, -1, -2)) * scales(-3.0, 8.0),
+        "indefinite": stack(g(), g(), g()),
+        "equal diagonals": stack(d, g() * 10.0 ** rng.uniform(-20.0, 2.0, count), d),
+        "zero trace": stack(d, g(), -d),
+        "zero off-diagonal": stack(g(), 0.0, g()),
+        "tiny off-diagonal": stack(d, g() * 10.0 ** rng.uniform(-25.0, -5.0, count), g()),
+        "small integers (ties)": stack(ints(), ints(), ints()),
+        "scales within the band": stack(g(), g(), g()) * scales(-99.0, 98.0),
+        "scales 1e-120 to 1e145": stack(g(), g(), g()) * scales(-120.0, 145.0),
+    }
+
+
+class TestClosedFormEigenvalues:
+    """``_eigvalsh_2x2`` and ``_eig_2x2`` give the bits of LAPACK's own
+    eigensolver, sign of zero included, and read the lower triangle."""
+
+    @pytest.mark.parametrize("case", list(_eigen_cases(np.random.default_rng(0), 1)))
+    def test_bitwise_equal_to_eigvalsh(self, case):
+        mats = _eigen_cases(np.random.default_rng(21), 20_000)[case]
+        want = np.linalg.eigvalsh(mats)
+        got = _eigvalsh_2x2(mats)
+        assert got.tobytes() == want.tobytes()
+        for m, w in zip(mats[:500], want[:500]):
+            assert np.array(_eig_2x2(m[0, 0], m[1, 0], m[1, 1])).tobytes() == w.tobytes()
+
+    def test_lower_triangle_is_read(self):
+        rng = np.random.default_rng(22)
+        mats = rng.standard_normal((20_000, 2, 2))
+        upper = mats.copy()
+        upper[:, 1, 0] = upper[:, 0, 1]
+        assert not np.array_equal(np.linalg.eigvalsh(upper), np.linalg.eigvalsh(mats))
+        assert _eigvalsh_2x2(mats).tobytes() == np.linalg.eigvalsh(mats).tobytes()
+
+    @pytest.mark.parametrize(
+        "odd",
+        [[[1e120, 0.0], [3e119, 2e120]], [[0.0, 0.0], [0.0, 0.0]], [[np.nan, 0.0], [0.0, 1.0]],
+         [[np.inf, 0.0], [1.0, 1.0]], [[np.inf, 0.0], [np.inf, 1.0]]],
+    )
+    def test_out_of_band_and_non_finite_stacks_are_lapacks(self, odd):
+        mats = np.stack([np.eye(2), odd])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                want = np.linalg.eigvalsh(mats)
+            except np.linalg.LinAlgError:
+                with pytest.raises(np.linalg.LinAlgError):
+                    _eigvalsh_2x2(mats)
+            else:
+                assert _eigvalsh_2x2(mats).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunked_distances_equal_one_call(self, dim, count):
+        rng = np.random.default_rng(23)
+        ref = random_pd(rng, dim, spread=2.0)
+        mats = np.stack([random_pd(rng, dim, spread=3.0) for _ in range(count)] or [np.eye(dim)])
+        mats = mats[:count]
+        inv_chol = _inv_lower(np.linalg.cholesky(ref))
+        w = np.linalg.eigvalsh(inv_chol @ mats @ inv_chol.T)
+        expected = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))
+        got = distances_to(ref, mats)
+        assert got.shape == (count,)
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_fma_rounds_once():
