@@ -15,8 +15,10 @@ and the change first in odd ones, so host drift falls on both sides alike.
 The summary is written to ``BENCH_<name>.json`` in the change's checkout.
 For each workload and end-to-end metric of the change's ``BENCHMARK.json``
 it holds both sides' runs with their median and quartiles (linear
-interpolation), the pairs the change won (ties count for neither side), the
-median change in percent and the parent's interquartile range.
+interpolation), each run's ``attempted`` op count beside its value (a
+reading such as ``peak_rss_mb`` can follow how many ops the harness held),
+the pairs the change won (ties count for neither side), the median change
+in percent and the parent's interquartile range.
 ``gain_rule_met`` says whether the change won at least nine tenths of the
 pairs by a median gap wider than that range; ``within_bound`` whether the
 change's median is no worse than the parent's by more than the metric's
@@ -61,16 +63,16 @@ def quartiles(values: list) -> tuple:
 def summarize(runs: dict, metric: dict) -> dict:
     """Statistics of one metric over the pairs whose two runs both passed."""
     name, lower = metric["name"], metric["better"] == "lower"
-    pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-             for p, c in zip(runs["parent"], runs["change"])
-             if p["correct"] and c["correct"]]
-    if not pairs:
+    kept = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if p["correct"] and c["correct"]]
+    if not kept:
         return {"unit": metric["unit"], "pairs": 0}
+    pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in kept]
     out = {"unit": metric["unit"], "pairs": len(pairs)}
     for i, side in enumerate(SIDES):
         values = [pair[i] for pair in pairs]
         q1, median, q3 = quartiles(values)
-        out[side] = {"median": median, "q1": q1, "q3": q3, "runs": values}
+        out[side] = {"median": median, "q1": q1, "q3": q3, "runs": values,
+                     "attempted": [pair[i]["attempted"] for pair in kept]}
     wins = sum((c < p) if lower else (c > p) for p, c in pairs)
     parent, change = out["parent"]["median"], out["change"]["median"]
     iqr = out["parent"]["q3"] - out["parent"]["q1"]

@@ -54,8 +54,6 @@ from .plant import build_modified_plant, check_structure
 from .riccati import ConvergenceError, solve_dare
 from .stationary import LN10, enumeration_distribution, delta_distribution
 
-COMMANDS = ("validate", "solve", "simulate", "empirical", "ergodic", "approx", "compare", "rate")
-
 # How a JSON value becomes a field of each annotated type.  Integer fields
 # take the value as parsed; their dataclass refuses anything but an int.
 _CONVERT = {
@@ -292,15 +290,11 @@ def _cmd_approx(cfg: ExperimentConfig, out_dir: Path, args) -> list:
 
 def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> list:
     table = compare_table(cfg)
-    rows = [
-        [table.distances[i], table.delta_approx[i], table.ergodic[i], table.empirical[i]]
-        for i in range(len(table.distances))
-    ]
-    rows.append(
-        ["unassigned", table.unassigned_delta, table.unassigned_ergodic, table.unassigned_empirical]
-    )
+    columns = table.columns.values()
+    rows = [[d] + [fracs[i] for fracs, _ in columns] for i, d in enumerate(table.distances)]
+    rows.append(["unassigned"] + [unassigned for _, unassigned in columns])
     path = out_dir / "clusters.csv"
-    write_csv(path, ["distance", "mass_delta", "mass_ergodic", "mass_empirical"], rows)
+    write_csv(path, ["distance"] + [f"mass_{name}" for name in table.columns], rows)
     print(f"cluster table with {len(table.distances)} rows written")
     return [path]
 
@@ -349,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pcmlab",
         description="Stationary-distribution toolkit for a robust filter over a lossy channel",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")

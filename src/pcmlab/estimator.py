@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pdm import PDMatrix, homographic
+from .pdm import PDMatrix, homographic, sym_sqrt
 from .plant import ModifiedPlant, NominalPlant, sensitivity_matrices
 from .rng import stream_rng
 
@@ -179,8 +179,6 @@ def simulate_trajectory(
     dict with keys ``states``, ``measurements`` (NaN where dropped),
     ``estimates``, ``pcms``.
     """
-    from .pdm import sym_sqrt
-
     word = np.asarray(word, dtype=np.uint8).ravel()
     rng = stream_rng(seed, stream)
     q_half = sym_sqrt(plant.q.entries)

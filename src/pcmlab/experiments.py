@@ -80,21 +80,19 @@ class Histogram:
 
 @dataclass(frozen=True)
 class ClusterTable:
-    """Per-cluster probability columns in the three-method table layout."""
+    """Cluster masses over one distance ladder, one column per method.
+
+    ``columns`` maps each method's name, in table order, to ``(fractions,
+    unassigned)``: the mass of the cluster around each distance, and the
+    mass outside every cluster.
+    """
 
     distances: np.ndarray
-    n_s: int
-    empirical: np.ndarray
-    ergodic: np.ndarray
-    delta_approx: np.ndarray
-    unassigned_empirical: float
-    unassigned_ergodic: float
-    unassigned_delta: float
+    columns: dict[str, tuple[np.ndarray, float]]
 
     def __post_init__(self):
         k = len(self.distances)
-        for name in ("empirical", "ergodic", "delta_approx"):
-            col = getattr(self, name)
+        for name, (col, _) in self.columns.items():
             if len(col) != k:
                 raise ValueError(f"column {name} has length {len(col)}, expected {k}")
             if np.sum(col) > 1.0 + 1e-9:
@@ -388,7 +386,9 @@ def cluster_probabilities(
 
 
 def compare_table(cfg: ExperimentConfig, prep: PreparedPlant | None = None) -> ClusterTable:
-    """Three-column cluster table: delta lumping, ergodic run, empirical run."""
+    """Cluster table with the columns ``delta`` (lumping on the open-loop
+    orbit; its geometric tail is unassigned), ``ergodic`` and ``empirical``,
+    computed and kept in that order."""
     if prep is None:
         prep = prepare(cfg)
     gamma_st = stationary_probability(cfg.channel)
@@ -396,20 +396,11 @@ def compare_table(cfg: ExperimentConfig, prep: PreparedPlant | None = None) -> C
     # orbit step and the same distance call), so it always lands in cluster i
     # and its masses are the delta column as they stand.
     delta = delta_distribution(prep.mp, prep.p_star, gamma_st, cfg.n_d)
-    erg_samples, _ = run_ergodic(cfg, prep)
-    erg_fracs, erg_un = cluster_probabilities(erg_samples, prep.ladder, cfg.n_s)
-    emp_samples, _ = run_empirical(cfg, prep)
-    emp_fracs, emp_un = cluster_probabilities(emp_samples, prep.ladder, cfg.n_s)
-    return ClusterTable(
-        distances=prep.ladder,
-        n_s=cfg.n_s,
-        empirical=emp_fracs,
-        ergodic=erg_fracs,
-        delta_approx=delta.masses(),
-        unassigned_empirical=emp_un,
-        unassigned_ergodic=erg_un,
-        unassigned_delta=delta.residual_mass,
-    )
+    return ClusterTable(prep.ladder, {
+        "delta": (delta.masses(), delta.residual_mass),
+        "ergodic": cluster_probabilities(run_ergodic(cfg, prep)[0], prep.ladder, cfg.n_s),
+        "empirical": cluster_probabilities(run_empirical(cfg, prep)[0], prep.ladder, cfg.n_s),
+    })
 
 
 def rate_study(

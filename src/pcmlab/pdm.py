@@ -301,8 +301,8 @@ def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> f
     (:func:`_eig_2x2`).  That keeps every distance bit of the generalized
     eigensolver, which ``results/`` and the perfbench reference pin through
     the distance ladder, and the exact FMA makes the result independent of
-    which BLAS kernel is dispatched.  Other sizes whiten with the inverse
-    Cholesky factor.
+    which BLAS kernel is dispatched.  Other sizes are the one-matrix case of
+    :func:`distances_to`, with ``q`` as its reference.
 
     Parameters
     ----------
@@ -327,20 +327,16 @@ def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> f
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NotPositiveDefiniteError("an input to the distance has non-finite entries")
+    if a.shape[-1] != 2:
+        try:
+            return float(distances_to(b, a[None])[0])
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(f"generalized eigenproblem failed: {exc}") from exc
     try:
-        chol = np.linalg.cholesky(b)
-        if a.shape[-1] == 2:
-            white = _reduce_2x2(a, chol)
-            if not all(map(math.isfinite, white)):
-                raise ArithmeticError("the whitened matrix has non-finite entries")
-            w = np.array(_eig_2x2(*white))
-        else:
-            inv_chol = _inv_lower(chol)
-            with np.errstate(over="ignore", invalid="ignore"):
-                white = inv_chol @ a @ inv_chol.T
-            if not np.isfinite(white).all():
-                raise ArithmeticError("the whitened matrix has non-finite entries")
-            w = np.linalg.eigvalsh(white)
+        white = _reduce_2x2(a, np.linalg.cholesky(b))
+        if not all(map(math.isfinite, white)):
+            raise ArithmeticError("the whitened matrix has non-finite entries")
+        w = np.array(_eig_2x2(*white))
     except (ArithmeticError, ValueError) as exc:
         # LinAlgError is a ValueError; whitening a pair of extreme scales
         # overflows into an ArithmeticError or a non-finite matrix.
@@ -368,8 +364,9 @@ def distances_to(reference: PDMatrix | np.ndarray, mats: np.ndarray) -> np.ndarr
     Raises
     ------
     NotPositiveDefiniteError
-        If a slice is non-finite, or its whitened eigenvalues are not all
-        finite and positive.
+        If ``reference`` is non-finite or has no Cholesky factor (it is not
+        positive definite), if a slice is non-finite, or if a slice's
+        whitened eigenvalues are not all finite and positive.
 
     Notes
     -----
@@ -386,7 +383,12 @@ def distances_to(reference: PDMatrix | np.ndarray, mats: np.ndarray) -> np.ndarr
     if not np.isfinite(mats).all():
         raise NotPositiveDefiniteError("a sample matrix has non-finite entries")
     ref = np.asarray(reference, dtype=float)
-    inv_chol = _inv_lower(np.linalg.cholesky(ref))
+    if not np.isfinite(ref).all():
+        raise NotPositiveDefiniteError("the reference matrix has non-finite entries")
+    try:
+        inv_chol = _inv_lower(np.linalg.cholesky(ref))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("the reference matrix is not positive definite") from exc
     inv_chol_t = np.ascontiguousarray(inv_chol.T)
     eigvalsh = _eigvalsh_2x2 if ref.shape[-1] == 2 else np.linalg.eigvalsh
     flat = mats.reshape((-1,) + mats.shape[-2:])

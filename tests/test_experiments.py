@@ -30,9 +30,10 @@ from pcmlab.experiments import (
 )
 from pcmlab.pdm import NotPositiveDefiniteError, PDMatrix, not_positive_definite
 from pcmlab.plant import _advance, _branch_blocks, _walk
+from pcmlab.stationary import delta_distribution
 
 from conftest import random_plant
-from oracles import pcm_trajectory, step_float
+from oracles import distribution_clusters, pcm_trajectory, step_float
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 DESK_CONFIGS = ("paper_section5.json", "paper_section5_moderate.json", "paper_section5_heavy.json")
@@ -549,18 +550,52 @@ class TestCompareTable:
     def test_columns_mutually_consistent(self, table):
         # the three methods agree per cluster at desk scale
         for i in range(len(table.distances)):
-            trio = [table.delta_approx[i], table.ergodic[i], table.empirical[i]]
+            trio = [fracs[i] for fracs, _ in table.columns.values()]
             assert max(trio) - min(trio) <= 0.015
 
     def test_columns_sum_below_one(self, table):
-        for col in (table.delta_approx, table.ergodic, table.empirical):
+        for col, _ in table.columns.values():
             assert col.sum() <= 1.0 + 1e-9
 
     def test_unassigned_reported(self, table):
-        assert 0.0 <= table.unassigned_empirical <= 1.0
-        assert 0.0 <= table.unassigned_ergodic <= 1.0
-        total = table.delta_approx.sum() + table.unassigned_delta
+        assert 0.0 <= table.columns["empirical"][1] <= 1.0
+        assert 0.0 <= table.columns["ergodic"][1] <= 1.0
+        total = table.columns["delta"][0].sum() + table.columns["delta"][1]
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def heavy_table(ref_plant):
+    # Heavy loss with C7's ladder and cluster width (n_d = 40, n_s = 2), at small run sizes.
+    cfg = ExperimentConfig(
+        plant=ref_plant, channel=ChannelParams(0.08, 0.92),
+        trials=400, horizon=200, ergodic_length=4_000,
+        n_d=40, n_s=2, delta_max=20.0, master_seed=2024,
+    )
+    prep = prepare(cfg)
+    return cfg, prep, compare_table(cfg, prep)
+
+
+class TestCompareColumns:
+    """Each column of the compare table is its own method's cluster law."""
+
+    def test_sampled_columns_are_their_runs_laws(self, heavy_table):
+        cfg, prep, table = heavy_table
+        for name, run in (("ergodic", run_ergodic), ("empirical", run_empirical)):
+            fracs, unassigned = cluster_probabilities(run(cfg, prep)[0], prep.ladder, cfg.n_s)
+            got, got_unassigned = table.columns[name]
+            assert got.tobytes() == fracs.tobytes(), name
+            assert got_unassigned == unassigned, name
+
+    def test_delta_column_is_its_atoms_law(self, heavy_table):
+        # Delta atom i lands in cluster i, so the atom masses are the column.
+        cfg, prep, table = heavy_table
+        gamma_st = stationary_probability(cfg.channel)
+        delta = delta_distribution(prep.mp, prep.p_star, gamma_st, cfg.n_d)
+        fracs, unassigned = distribution_clusters(delta, prep.ladder, cfg.n_s)
+        got, got_unassigned = table.columns["delta"]
+        assert got.tobytes() == fracs.tobytes()
+        assert got_unassigned == unassigned
 
 
 @pytest.fixture(scope="module")

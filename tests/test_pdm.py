@@ -166,6 +166,14 @@ class TestRiemannianDistance:
         with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
             distances_to(np.eye(2), mats)
 
+    @pytest.mark.parametrize("bad", ["indefinite", "nan", "inf"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_rejects_a_bad_reference(self, bad, dim):
+        ref = np.eye(dim)
+        ref[1, 0] = ref[0, 1] = 2.0 if bad == "indefinite" else float(bad)
+        with pytest.raises(NotPositiveDefiniteError, match="reference matrix"):
+            distances_to(ref, np.eye(dim)[None])
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_batch_overflowing_whitening_is_a_numerical_failure(self, dim):
         mats = np.stack([np.eye(dim), 1e300 * np.eye(dim)])
