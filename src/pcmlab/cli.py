@@ -122,17 +122,20 @@ def load_config(path) -> ExperimentConfig:
     :class:`ChannelParams` are the schema (see :func:`_section`); matrices
     are row-major nested arrays.  Unknown keys, missing keys, values that
     are not finite numbers and constraint violations raise
-    :class:`ConfigError` naming the offending field.
+    :class:`ConfigError` naming the offending field; a file that cannot be
+    read as UTF-8 text raises it naming the path.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return _section(ExperimentConfig, raw, "config")
 
 
@@ -391,7 +394,12 @@ def apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def dispatch(command: str, cfg: ExperimentConfig, args, out_dir) -> int:
     """Run one command against a resolved config; returns the exit code."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"validation failure: cannot use {out_dir} as the output directory: {exc}",
+              file=sys.stderr)
+        return 2
     try:
         outputs = _HANDLERS[command](cfg, out_dir, args)
     except (

@@ -8,15 +8,13 @@ one covariance update, and the construction of the paired symplectic update
 matrices for the dropped/received measurement branches.
 
 The module needs numpy only.  For 2x2 pairs, the size of every bundled
-config, the distance reproduces LAPACK's generalized eigensolver bit for bit
-without calling an eigensolver: :func:`riemannian_distance` writes out the
+config, :func:`riemannian_distance` reproduces LAPACK's generalized
+eigensolver bit for bit without calling an eigensolver: it writes out the
 ``dsygs2`` reduction (itype 1, lower) in LAPACK's operation order with exact
-fused multiply-adds, :func:`distances_to` writes out the triangular inverse,
-and both take the eigenvalues of the whitened matrix in closed form as
-``dsyevd`` computes them for n = 2 (:func:`_eigvalsh_2x2`).  ``results/``
-and the benchmark reference pin those bits through the distance ladder, and
-the exact FMA keeps the 2x2 reduction independent of which BLAS kernel
-happens to be dispatched.
+fused multiply-adds and takes the eigenvalues in closed form as ``dsyevd``
+computes them for n = 2 (:func:`_eig_2x2`).  ``results/`` and the benchmark
+reference pin those bits through the distance ladder.  :func:`distances_to`
+serves the sampled laws with a plain closed form instead.
 """
 
 from __future__ import annotations
@@ -143,7 +141,6 @@ class SymplecticPair:
 
     m0: np.ndarray
     m1: np.ndarray
-    dim: int = field(init=False)
 
     def __post_init__(self):
         m0 = _as_square_array(self.m0, "m0")
@@ -161,7 +158,6 @@ class SymplecticPair:
         m1.setflags(write=False)
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "dim", n)
 
 
 def _j_matrix(n: int) -> np.ndarray:
@@ -176,20 +172,6 @@ def _fma(x: float, y: float, z: float) -> float:
     Python's correctly rounded integer true division."""
     (a, b), (c, d), (e, f) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
     return (a * c * f + e * b * d) / (b * d * f)
-
-
-def _inv_lower(chol: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular Cholesky factor.
-
-    For n = 2 this is LAPACK's triangular solve written out, so it keeps the
-    bits of ``solve_triangular(chol, I, lower=True)``.
-    """
-    if chol.shape[-1] != 2:
-        return np.linalg.inv(chol)
-    (l00, _), (l10, l11) = chol.tolist()
-    x00 = 1.0 / l00
-    x11 = 1.0 / l11
-    return np.array([[x00, 0.0], [-(l10 * x00) * x11, x11]])
 
 
 def _reduce_2x2(a: np.ndarray, chol: np.ndarray) -> tuple:
@@ -216,8 +198,11 @@ def _reduce_2x2(a: np.ndarray, chol: np.ndarray) -> tuple:
 def _eig_2x2(d0: float, e: float, d1: float) -> tuple:
     """Ascending eigenvalues of the symmetric 2x2 matrix with diagonal
     ``d0, d1`` and off-diagonal ``e``, bit for bit those of
-    ``np.linalg.eigvalsh``; the one-matrix form of :func:`_eigvalsh_2x2`.
-    The inputs must be finite."""
+    ``np.linalg.eigvalsh``: LAPACK ``dsterf``'s split and convergence tests,
+    then ``dlae2`` with the diagonal of larger magnitude (``d1`` on a tie)
+    as ``acmx``, one correctly rounded operation at a time in LAPACK's
+    order.  Outside ``_EIG_BAND``, where LAPACK rescales first, it calls
+    ``eigvalsh``.  The inputs must be finite."""
     if not _EIG_BAND[0] <= max(abs(d0), abs(e), abs(d1)) <= _EIG_BAND[1]:
         return tuple(np.linalg.eigvalsh(np.array([[d0, e], [e, d1]])).tolist())
     e2 = e * e
@@ -244,46 +229,31 @@ def _eig_2x2(d0: float, e: float, d1: float) -> tuple:
     return (rt1, rt2) if rt1 <= rt2 else (rt2, rt1)
 
 
-def _eigvalsh_2x2(mats: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of symmetric 2x2 matrices, bit for
-    bit those of ``np.linalg.eigvalsh(mats)``, in closed form.
-
-    ``eigvalsh`` calls LAPACK ``dsyevd`` with the lower triangle, which for
-    n = 2 is ``dsterf`` on the diagonal ``d0, d1`` and the subdiagonal
-    ``e = mats[..., 1, 0]``.  ``dsterf`` keeps the diagonal as the
-    eigenvalues when ``e`` passes its split test or, squared, its
-    convergence test; otherwise it calls ``dlae2`` on ``(d0, |e|, d1)``,
-    and in both of its iteration directions the diagonal of larger
-    magnitude (``d1`` on a tie) becomes ``dlae2``'s ``acmx``.  The two
-    values are sorted ascending, as ``dlasrt`` does.  Every step is one
-    correctly rounded operation, written in LAPACK's order.
-
-    A stack with a non-finite entry, or a matrix whose largest entry lies
-    outside ``_EIG_BAND`` (where LAPACK would rescale first), goes to
-    ``eigvalsh`` itself, so the result and the errors are always its own.
-    """
-    d0, e, d1 = mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]
-    top = np.maximum(np.maximum(np.abs(d0), np.abs(e)), np.abs(d1))
-    if not ((top >= _EIG_BAND[0]) & (top <= _EIG_BAND[1])).all():
-        return np.linalg.eigvalsh(mats)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e2 = e * e
-        split = np.abs(e) <= (np.sqrt(np.abs(d0)) * np.sqrt(np.abs(d1))) * _LAPACK_EPS
-        split |= e2 <= _LAPACK_EPS2 * np.abs(d0 * d1)
-        b = np.sqrt(e2)
-        first = np.abs(d1) < np.abs(d0)
-        acmx = np.where(first, d0, d1)
-        acmn = np.where(first, d1, d0)
-        sm = d0 + d1
-        adf = np.abs(d0 - d1)
-        ab = np.abs(b + b)
-        big, small = np.maximum(adf, ab), np.minimum(adf, ab)
-        rt = np.where(adf == ab, ab * np.sqrt(2.0), big * np.sqrt(1.0 + (small / big) ** 2))
-        rt1 = 0.5 * np.where(sm < 0.0, sm - rt, np.where(sm > 0.0, sm + rt, rt))
-        rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
-    rt1 = np.where(split, d0, rt1)
-    rt2 = np.where(split, d1, rt2)
-    return np.stack([np.minimum(rt1, rt2), np.maximum(rt1, rt2)], axis=-1)
+def _whitened_eigvalsh_2x2(chol: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``inv(L) mats inv(L)^T`` for a stack of
+    symmetric 2x2 ``mats`` (lower triangles read) and a 2x2 Cholesky factor
+    ``L``, in closed form: the larger is half the trace plus the hypotenuse
+    of half the diagonal gap and the off-diagonal, the smaller is
+    ``det(mats) / det(L)**2`` over the larger.  The determinant is read off
+    ``mats``, not the whitened entries, where it would cancel, and its
+    factors are scaled by ``det(L)`` and the larger eigenvalue first, so
+    nothing overflows while the whitened entries are finite."""
+    (l00, _), (l10, l11) = chol.tolist()
+    p00, p01, p11 = mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1]
+    w = np.empty(mats.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u00 = p00 / l00
+        u01 = p01 / l00
+        u10 = (p01 - l10 * u00) / l11
+        u11 = (p11 - l10 * u01) / l11
+        x00 = u00 / l00
+        x01 = (u01 - l10 * x00) / l11
+        x11 = (u11 - l10 * u10 / l00) / l11
+        w[:, 1] = hi = 0.5 * (x00 + x11) + np.hypot(0.5 * (x00 - x11), x01)
+        det_l = l00 * l11
+        q00, q01, q11 = p00 / det_l, p01 / det_l, p11 / det_l
+        w[:, 0] = (q00 / hi) * q11 - (q01 / hi) * q01
+    return w
 
 
 def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> float:
@@ -370,13 +340,13 @@ def distances_to(reference: PDMatrix | np.ndarray, mats: np.ndarray) -> np.ndarr
 
     Notes
     -----
-    Whitens with the inverse Cholesky factor of ``reference`` and solves the
-    symmetric eigenproblems ``_CHUNK`` matrices at a time, so the
-    temporaries stay small whatever the stack's size.  The whitening
-    ``inv_chol @ chunk @ inv_chol.T`` is evaluated as two ``np.matmul``
-    calls with a contiguous transposed factor, which gives the same bits as
-    the one-expression form at twice its speed.  For n = 2 the eigenvalues
-    are LAPACK's, in closed form (:func:`_eigvalsh_2x2`); other sizes call
+    Works ``_CHUNK`` matrices at a time, so the temporaries stay small
+    whatever the stack's size.  2x2 stacks take the closed form of
+    :func:`_whitened_eigvalsh_2x2`: within a few units in the last place of
+    LAPACK on well-conditioned matrices, and closer to the exact value on
+    ill-conditioned ones.  Other sizes whiten with the inverse Cholesky
+    factor, as two ``np.matmul`` calls with a contiguous transposed factor
+    (the one-expression form's bits at twice its speed), and call
     ``np.linalg.eigvalsh``.
     """
     mats = np.asarray(mats, dtype=float)
@@ -386,20 +356,25 @@ def distances_to(reference: PDMatrix | np.ndarray, mats: np.ndarray) -> np.ndarr
     if not np.isfinite(ref).all():
         raise NotPositiveDefiniteError("the reference matrix has non-finite entries")
     try:
-        inv_chol = _inv_lower(np.linalg.cholesky(ref))
+        chol = np.linalg.cholesky(ref)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("the reference matrix is not positive definite") from exc
-    inv_chol_t = np.ascontiguousarray(inv_chol.T)
-    eigvalsh = _eigvalsh_2x2 if ref.shape[-1] == 2 else np.linalg.eigvalsh
+    if ref.shape[-1] != 2:
+        inv_chol = np.linalg.inv(chol)
+        inv_chol_t = np.ascontiguousarray(inv_chol.T)
     flat = mats.reshape((-1,) + mats.shape[-2:])
     out = np.empty(flat.shape[0])
     for lo in range(0, flat.shape[0], _CHUNK):
-        with np.errstate(over="ignore", invalid="ignore"):
-            white = np.matmul(np.matmul(inv_chol, flat[lo : lo + _CHUNK]), inv_chol_t)
-        try:
-            w = eigvalsh(white)
-        except np.linalg.LinAlgError as exc:  # an overflowed whitening
-            raise NotPositiveDefiniteError(f"a sample matrix failed to whiten: {exc}") from exc
+        chunk = flat[lo : lo + _CHUNK]
+        if ref.shape[-1] == 2:
+            w = _whitened_eigvalsh_2x2(chol, chunk)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                white = np.matmul(np.matmul(inv_chol, chunk), inv_chol_t)
+            try:
+                w = np.linalg.eigvalsh(white)
+            except np.linalg.LinAlgError as exc:  # an overflowed whitening
+                raise NotPositiveDefiniteError(f"a sample matrix failed to whiten: {exc}") from exc
         if not ((w > 0.0) & (w < np.inf)).all():
             raise NotPositiveDefiniteError("a sample matrix is not positive definite")
         out[lo : lo + _CHUNK] = np.sqrt(np.sum(np.log(w) ** 2, axis=-1))

@@ -68,7 +68,8 @@ class NominalPlant:
         Process-noise (m x m) and measurement-noise (p x p) covariances.
     da, db, dc : tuple of ndarray
         Derivatives of a, b, c with respect to each scalar error component;
-        all three tuples share length ``n_err`` (possibly zero).
+        all three tuples have one length, the number of error components
+        (possibly zero).
     mu : float
         Accuracy/robustness trade-off weight in (0, 1]; ``mu == 1`` recovers
         the plain Kalman filter.
@@ -131,10 +132,6 @@ class NominalPlant:
     @property
     def p(self) -> int:
         return self.c.shape[0]
-
-    @property
-    def n_err(self) -> int:
-        return len(self.da)
 
     @property
     def lam(self) -> float:
@@ -396,8 +393,8 @@ def sensitivity_matrices(plant: NominalPlant) -> tuple[np.ndarray, np.ndarray]:
 
     For each error component i the contribution is the block
     ``[c @ da_i; dc_i @ a]`` (to the state stack) and ``[c @ db_i; dc_i @ b]``
-    (to the noise stack), evaluated at zero error.  With ``n_err``
-    components the stacks have ``2 * p * n_err`` rows; with none they are
+    (to the noise stack), evaluated at zero error.  With ``k`` error
+    components the stacks have ``2 * p * k`` rows; with none they are
     empty (zero-row) and every downstream correction term vanishes.
     """
     n, m, p = plant.n, plant.m, plant.p

@@ -17,6 +17,9 @@ quantity that ``pcmlab`` computes another way:
   generalized symmetric eigensolver (LAPACK ``dsygvd``), against the
   numpy-only :func:`pcmlab.pdm.riemannian_distance`; it is the one oracle
   that needs scipy, imported when called;
+- :func:`exact_distance_2x2`: the 2x2 distance to 50 significant digits,
+  from the roots of ``det(p - lambda q) = 0`` in exact and decimal
+  arithmetic, against the closed form of :func:`pcmlab.pdm.distances_to`;
 - :func:`pcm_trajectory`: the PCM recursion along a word, one
   :func:`pcmlab.estimator.pcm_step` at a time, against
   :func:`pcmlab.estimator.simulate_trajectory` and the word products;
@@ -29,6 +32,8 @@ quantity that ``pcmlab`` computes another way:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -140,6 +145,35 @@ def scipy_riemannian_distance(p, q) -> float:
     if np.any(w <= 0.0):
         raise NotPositiveDefiniteError("inputs are not a positive-definite pair")
     return float(np.sqrt(np.sum(np.log(w) ** 2)))
+
+
+def exact_distance_2x2(p, q) -> float:
+    """Riemannian distance between two 2x2 PD matrices, correct to about 50
+    significant digits before its one rounding to a float.
+
+    The generalized eigenvalues are the roots of ``det(p - lambda q) =
+    a lambda^2 - b lambda + c``, whose coefficients are formed exactly from
+    the float entries as ``Fraction``s.  The larger root and both logarithms
+    are taken in ``decimal`` at 50 digits; the smaller root is ``c / a``
+    divided by the larger, so neither root suffers cancellation.  Reads the
+    lower triangles.
+    """
+    (p00, _), (p10, p11) = [[Fraction(x) for x in row] for row in np.asarray(p, float).tolist()]
+    (q00, _), (q10, q11) = [[Fraction(x) for x in row] for row in np.asarray(q, float).tolist()]
+    a = q00 * q11 - q10 * q10
+    b = p00 * q11 + p11 * q00 - 2 * p10 * q10
+    c = p00 * p11 - p10 * p10
+    if not (a > 0 and c > 0 and b > 0):
+        raise NotPositiveDefiniteError("inputs are not a positive-definite pair")
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def dec(x: Fraction) -> Decimal:
+            return Decimal(x.numerator) / Decimal(x.denominator)
+
+        hi = (dec(b) + dec(b * b - 4 * a * c).sqrt()) / (2 * dec(a))
+        lo = dec(c / a) / hi
+        return float((hi.ln() ** 2 + lo.ln() ** 2).sqrt())
 
 
 def solve_dare_direct(

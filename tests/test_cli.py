@@ -332,6 +332,28 @@ class TestCommands:
             assert f"master_seed must lie in [0, 2**64), got {value}" in err
         assert "Traceback" not in err
 
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("validate", "--config", ROOT / "configs", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: cannot read config file")
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(REFERENCE_CONFIG.read_bytes() + b"\n\xff")
+        assert run_cli("validate", "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation failure: cannot read config file {path}")
+        assert not (tmp_path / "o").exists()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        assert run_cli("validate", "--config", REFERENCE_CONFIG, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation failure: cannot use {out} as the output directory")
+        assert out.read_text() == "keep\n"
+
     def test_ergodic_and_empirical_commands(self, tmp_path):
         for cmd in ("empirical", "ergodic"):
             out = tmp_path / cmd
