@@ -133,8 +133,11 @@ class ExperimentConfig:
             unset = value is None and name in ("ergodic_length", "master_seed")
             if type(value) is not int and not unset:  # bool and float are refused
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-            if not unset and name != "master_seed" and value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            # With n_s = 1, interior cluster i covers (d_{i-1}, d_{i+1}] and
+            # overlaps its neighbours.
+            least = 2 if name == "n_s" else 1
+            if not unset and name != "master_seed" and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         # The seed mixer works modulo 2**64; a seed outside would alias one inside.
         if self.master_seed is not None and not 0 <= self.master_seed < 1 << 64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
@@ -174,10 +177,14 @@ def prepare(cfg: ExperimentConfig) -> PreparedPlant:
 def make_histogram(samples: np.ndarray, delta_max: float, n_bins: int) -> Histogram:
     """Bin finite samples; raises :class:`NonFiniteSampleError` otherwise."""
     samples = _finite_samples(samples)
-    width = delta_max / n_bins
-    idx = np.floor(samples / width).astype(np.int64)
+    with np.errstate(over="ignore"):
+        idx = samples / (delta_max / n_bins)
+    np.floor(idx, out=idx)
     in_range = (samples >= 0) & (idx < n_bins)
-    counts = np.bincount(idx[in_range], minlength=n_bins)[:n_bins]
+    # Park the rest in bin n_bins before the cast: a quotient past 2**63 or
+    # past the largest float (a tiny width) would not survive it.
+    idx[~in_range] = n_bins
+    counts = np.bincount(idx.astype(np.int64), minlength=n_bins)[:n_bins]
     overflow = int(samples.size - np.count_nonzero(in_range))
     return Histogram(
         delta_max=delta_max,

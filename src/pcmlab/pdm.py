@@ -9,12 +9,13 @@ matrices for the dropped/received measurement branches.
 
 The module needs numpy only.  For 2x2 pairs, the size of every bundled
 config, :func:`riemannian_distance` reproduces LAPACK's generalized
-eigensolver bit for bit without calling an eigensolver: it writes out the
-``dsygs2`` reduction (itype 1, lower) in LAPACK's operation order with exact
-fused multiply-adds and takes the eigenvalues in closed form as ``dsyevd``
-computes them for n = 2 (:func:`_eig_2x2`).  ``results/`` and the benchmark
-reference pin those bits through the distance ladder.  :func:`distances_to`
-serves the sampled laws with a plain closed form instead.
+eigensolver bit for bit: it writes out the ``dsygs2`` reduction (itype 1,
+lower) in LAPACK's operation order with exact fused multiply-adds
+(:func:`_reduce_2x2`), which numpy does not expose, and passes the whitened
+matrix to ``np.linalg.eigvalsh``, which calls ``dsyevd`` as ``dsygvd`` does.
+``results/`` and the benchmark reference pin those bits through the distance
+ladder.  :func:`distances_to` serves the sampled laws with a plain closed
+form instead.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ COND_LIMIT = 1e12
 # Per-entry absolute tolerance for the symplectic identity M^T J M = J.
 SYMPLECTIC_ATOL = 1e-8
 
-# LAPACK's dlamch('E') (half the machine epsilon) and its square: the split
-# and convergence tolerances of dsterf.
-_LAPACK_EPS = 2.0**-53
-_LAPACK_EPS2 = _LAPACK_EPS * _LAPACK_EPS
-# Largest-entry magnitudes of a 2x2 matrix for which the closed-form
-# eigenvalues apply.  dsyevd rescales outside about [1e-146, 1e146] and
-# dsterf outside about [1.5e-123, 2.2e153]; a matrix outside this
-# conservative band (or with a non-finite entry) goes to LAPACK itself.
-_EIG_BAND = (1e-100, 1e100)
 # Matrices whitened and solved per pass of distances_to; it bounds the
 # temporaries, which would otherwise be several times the input.
 _CHUNK = 4096
@@ -195,40 +187,6 @@ def _reduce_2x2(a: np.ndarray, chol: np.ndarray) -> tuple:
     return akk, a10, a11
 
 
-def _eig_2x2(d0: float, e: float, d1: float) -> tuple:
-    """Ascending eigenvalues of the symmetric 2x2 matrix with diagonal
-    ``d0, d1`` and off-diagonal ``e``, bit for bit those of
-    ``np.linalg.eigvalsh``: LAPACK ``dsterf``'s split and convergence tests,
-    then ``dlae2`` with the diagonal of larger magnitude (``d1`` on a tie)
-    as ``acmx``, one correctly rounded operation at a time in LAPACK's
-    order.  Outside ``_EIG_BAND``, where LAPACK rescales first, it calls
-    ``eigvalsh``.  The inputs must be finite."""
-    if not _EIG_BAND[0] <= max(abs(d0), abs(e), abs(d1)) <= _EIG_BAND[1]:
-        return tuple(np.linalg.eigvalsh(np.array([[d0, e], [e, d1]])).tolist())
-    e2 = e * e
-    if (abs(e) <= (math.sqrt(abs(d0)) * math.sqrt(abs(d1))) * _LAPACK_EPS
-            or e2 <= _LAPACK_EPS2 * abs(d0 * d1)):
-        rt1, rt2 = d0, d1
-    else:
-        b = math.sqrt(e2)
-        acmx, acmn = (d0, d1) if abs(d1) < abs(d0) else (d1, d0)
-        sm = d0 + d1
-        adf = abs(d0 - d1)
-        ab = abs(b + b)
-        if adf > ab:
-            rt = adf * math.sqrt(1.0 + (ab / adf) * (ab / adf))
-        elif adf < ab:
-            rt = ab * math.sqrt(1.0 + (adf / ab) * (adf / ab))
-        else:
-            rt = ab * math.sqrt(2.0)
-        if sm == 0.0:
-            rt1, rt2 = 0.5 * rt, -0.5 * rt
-        else:
-            rt1 = 0.5 * (sm - rt if sm < 0.0 else sm + rt)
-            rt2 = (acmx / rt1) * acmn - (b / rt1) * b
-    return (rt1, rt2) if rt1 <= rt2 else (rt2, rt1)
-
-
 def _whitened_eigvalsh_2x2(chol: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``inv(L) mats inv(L)^T`` for a stack of
     symmetric 2x2 ``mats`` (lower triangles read) and a 2x2 Cholesky factor
@@ -267,11 +225,12 @@ def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> f
 
     For n = 2 the whitening is LAPACK ``dsygs2``'s reduction (the one inside
     ``dsygvd``) written out in its operation order, with exact fused
-    multiply-adds, and the eigenvalues are ``dsyevd``'s, in closed form
-    (:func:`_eig_2x2`).  That keeps every distance bit of the generalized
-    eigensolver, which ``results/`` and the perfbench reference pin through
-    the distance ladder, and the exact FMA makes the result independent of
-    which BLAS kernel is dispatched.  Other sizes are the one-matrix case of
+    multiply-adds, and ``np.linalg.eigvalsh`` takes the eigenvalues of its
+    lower triangle with ``dsyevd``, the solver ``dsygvd`` calls next.  That
+    keeps every distance bit of the generalized eigensolver, which
+    ``results/`` and the perfbench reference pin through the distance
+    ladder, and the exact FMA makes the result independent of which BLAS
+    kernel is dispatched.  Other sizes are the one-matrix case of
     :func:`distances_to`, with ``q`` as its reference.
 
     Parameters
@@ -306,7 +265,8 @@ def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> f
         white = _reduce_2x2(a, np.linalg.cholesky(b))
         if not all(map(math.isfinite, white)):
             raise ArithmeticError("the whitened matrix has non-finite entries")
-        w = np.array(_eig_2x2(*white))
+        w00, w10, w11 = white
+        w = np.linalg.eigvalsh(np.array([[w00, w10], [w10, w11]]))
     except (ArithmeticError, ValueError) as exc:
         # LinAlgError is a ValueError; whitening a pair of extreme scales
         # overflows into an ArithmeticError or a non-finite matrix.

@@ -27,6 +27,8 @@ MALFORMED = [
     ("n_d", 10.5, "n_d must be an integer"),
     ("n_s", 2.5, "n_s must be an integer"),
     ("master_seed", 1.5, "master_seed must be an integer"),
+    # With n_s = 1, neighbouring cluster intervals overlap.
+    ("n_s", 1, "config.n_s must be >= 2, got 1"),
     # Seeds are mixed modulo 2**64, so one outside would alias one inside.
     ("master_seed", -1, r"config.master_seed must lie in \[0, 2\*\*64\), got -1"),
     ("master_seed", 2**64, r"config.master_seed must lie in \[0, 2\*\*64\), got 18446744073709551616"),
@@ -353,6 +355,19 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"validation failure: cannot use {out} as the output directory")
         assert out.read_text() == "keep\n"
+
+    def test_tiny_delta_max_puts_every_sample_in_overflow(self, tmp_path, capsys):
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        raw["delta_max"] = 1e-20
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("ergodic", "--config", path, "--ergodic-length", 500, "--out", out) == 0
+        assert "501 time samples; histogram overflow 501" in capsys.readouterr().out
+        rows = (out / "histogram.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 200 and all(row.endswith(",0,0.0") for row in rows)
 
     def test_ergodic_and_empirical_commands(self, tmp_path):
         for cmd in ("empirical", "ergodic"):

@@ -63,6 +63,13 @@ class TestHistogram:
         assert hist.counts.sum() + hist.overflow == hist.total
         assert hist.normalized.sum() + hist.overflow / hist.total == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("delta_max", [1e-20, 1e-310])
+    def test_tiny_range_sends_every_sample_to_overflow(self, delta_max):
+        # The quotients pass 2**63 (and, at 1e-310, the largest float).
+        hist = make_histogram(np.array([0.0, 0.5, 1.0, 1.7]), delta_max=delta_max, n_bins=200)
+        assert hist.counts.sum() == 1 and hist.counts[0] == 1  # 0.0 is in range
+        assert hist.overflow == 3 and hist.total == 4
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_rejected(self, bad):
         with pytest.raises(NonFiniteSampleError, match="1 of 3 .* index 1"):

@@ -17,7 +17,6 @@ from pcmlab.pdm import (
     SymplecticPair,
     build_symplectic_pair,
     _CHUNK,
-    _eig_2x2,
     _fma,
     _whitened_eigvalsh_2x2,
     distances_to,
@@ -186,12 +185,13 @@ class TestRiemannianDistance:
                 distances_to(1e-300 * np.eye(dim), mats)
 
 
-def _random_pd_pairs(count: int, seed: int):
-    """Seeded 2x2 PD pairs, each matrix at a log-uniform scale in [1e-3, 1e8]."""
+def _random_pd_pairs(count: int, seed: int, exponents=(-3.0, 8.0)):
+    """Seeded 2x2 PD pairs, each matrix at a log-uniform scale in
+    ``10**exponents``, [1e-3, 1e8] by default."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         pair = []
-        for scale in 10.0 ** rng.uniform(-3.0, 8.0, size=2):
+        for scale in 10.0 ** rng.uniform(*exponents, size=2):
             m = rng.standard_normal((2, 2))
             pair.append(scale * (m @ m.T + 0.1 * np.eye(2)))
         yield pair
@@ -234,6 +234,14 @@ class TestScipyOracle:
         ]
         assert not mismatches, f"{len(mismatches)} of 5000 differ, first {mismatches[0]}"
 
+    def test_bitwise_on_random_pairs_at_extreme_scales(self):
+        # Entries up to 1e150 and down to 1e-150, where LAPACK rescales
+        # before its eigensolver runs.
+        for p, q in _random_pd_pairs(3000, seed=11, exponents=(-150.0, 150.0)):
+            got = riemannian_distance(p, q)
+            assert got == scipy_riemannian_distance(p, q)
+            assert got == pytest.approx(exact_distance_2x2(p, q), rel=1e-14)
+
     def test_bitwise_on_bundled_dare_steps_and_ladders(self):
         pairs = _bundled_distance_pairs()
         assert len(pairs) > 200
@@ -268,44 +276,8 @@ class TestScipyOracle:
             )
 
 
-def _eigen_cases(rng, count: int) -> dict:
-    """Named stacks of 2x2 matrices covering each branch of LAPACK's n = 2
-    eigenvalue path; the upper triangle is independent noise."""
-    def stack(d0, e, d1):
-        mats = np.empty((count, 2, 2))
-        mats[:, 0, 0], mats[:, 1, 0], mats[:, 1, 1] = d0, e, d1
-        mats[:, 0, 1] = rng.standard_normal(count)
-        return mats
-
-    def scales(lo, hi):
-        return 10.0 ** rng.uniform(lo, hi, count)[:, None, None]
-
-    g = lambda: rng.standard_normal(count)  # noqa: E731
-    d = g()
-    ints = lambda: rng.integers(-3, 4, count).astype(float)  # noqa: E731
-    m = rng.standard_normal((count, 2, 2))
-    return {
-        "positive definite": (m @ np.swapaxes(m, -1, -2)) * scales(-3.0, 8.0),
-        "indefinite": stack(g(), g(), g()),
-        "equal diagonals": stack(d, g() * 10.0 ** rng.uniform(-20.0, 2.0, count), d),
-        "zero trace": stack(d, g(), -d),
-        "zero off-diagonal": stack(g(), 0.0, g()),
-        "tiny off-diagonal": stack(d, g() * 10.0 ** rng.uniform(-25.0, -5.0, count), g()),
-        "small integers (ties)": stack(ints(), ints(), ints()),
-        "scales within the band": stack(g(), g(), g()) * scales(-99.0, 98.0),
-        "scales 1e-120 to 1e145": stack(g(), g(), g()) * scales(-120.0, 145.0),
-    }
-
-
 class TestClosedFormEigenvalues:
-    """``_eig_2x2`` gives the bits of LAPACK's own eigensolver, sign of zero
-    included, and reads the lower triangle."""
-
-    @pytest.mark.parametrize("case", list(_eigen_cases(np.random.default_rng(0), 1)))
-    def test_bitwise_equal_to_eigvalsh(self, case):
-        mats = _eigen_cases(np.random.default_rng(21), 20_000)[case][:500]
-        for m, w in zip(mats, np.linalg.eigvalsh(mats)):
-            assert np.array(_eig_2x2(m[0, 0], m[1, 0], m[1, 1])).tobytes() == w.tobytes()
+    """``distances_to`` takes the closed-form eigenvalues chunk by chunk."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])

@@ -39,7 +39,8 @@ def test_public_names():
 
 def test_traced_layer_functions_resolve():
     # The benchmark's tracer replaces these attributes after importing
-    # pcmlab.cli; a missing one breaks every traced run.
+    # pcmlab.cli; a missing one breaks every traced run, and one bound to
+    # another function books its time under the wrong span.
     spec = importlib.util.spec_from_file_location(
         "perfbench_traced_op", ROOT / "perfbench" / "traced_op.py"
     )
@@ -47,9 +48,11 @@ def test_traced_layer_functions_resolve():
     spec.loader.exec_module(traced_op)
     patches = traced_op.PATCHES
     assert patches
-    for module, attr, *_ in patches:
-        mod = sys.modules[f"pcmlab.{module}"]
-        assert callable(getattr(mod, attr, None)), f"pcmlab.{module}.{attr}"
+    for module, attr, span, _ in patches:
+        target = getattr(sys.modules[f"pcmlab.{module}"], attr, None)
+        assert callable(target), f"pcmlab.{module}.{attr}"
+        home, name = span.split(".")
+        assert target is getattr(sys.modules[f"pcmlab.{home}"], name), span
 
 
 def test_stack_jobs_reach_the_branch_maps_only_through_the_kernel():
