@@ -45,8 +45,10 @@ PER_CONFIG = (
 )
 RATE = ("rate", "--ergodic-length", "200000")
 COMMANDS = [(config, args) for config in CONFIGS for args in PER_CONFIG] + [
+    ("paper_section5.json", RATE),
     ("paper_section5_moderate.json", RATE),
     ("paper_section5_moderate.json", RATE + ("--seed", "1")),
+    ("paper_section5_heavy.json", RATE),
 ]
 
 

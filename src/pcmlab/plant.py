@@ -13,10 +13,10 @@ segment grid and the reachable-set enumeration all step through it.  Its
 one-matrix companion, :func:`_walk`, moves a single PCM along one word and
 returns the path: a 2x2 PCM in Python floats through the same closed-form
 maps, anything else through ``_advance`` on a one-row stack.  It serves
-the shorter ergodic paths, the exact verify walk of the longer ones (where
-it stops as soon as it meets a known path) and the replay of a broken-down
-empirical trial, where a numpy call per step would cost far more than the
-arithmetic.
+the shorter ergodic paths, the grid rows of the longer ones that fail their
+seam check (where it stops as soon as it meets a known path) and the
+replay of a broken-down empirical trial, where a numpy call per step would
+cost far more than the arithmetic.
 
 The kernel holds one state per matrix size.  For ``n = 2`` it is the three
 contiguous entry planes ``p00, p01, p11`` of the symmetric stack, and the

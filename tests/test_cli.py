@@ -51,6 +51,8 @@ MALFORMED = [
     ("plant.a", [[1.1234, 0.0196], [True, 0.9802]], r"config.plant.a\[1\]\[0\] must be a finite"),
     ("init_pcm_scale", float("nan"), "config.init_pcm_scale must be a finite number"),
     ("delta_max", float("inf"), "config.delta_max must be a finite number"),
+    # A bin width that underflows to 0.0 would bin a sample of 0.0 as NaN.
+    ("delta_max", 1e-322, "config.delta_max 1e-322 over n_e_bins 200 gives a bin width of 0.0"),
 ]
 
 

@@ -232,15 +232,14 @@ def sequential_path(cfg, prep):
 
 def assert_segmented_exact(cfg, prep):
     """The segment grid's path and the run's samples equal the oracle's bit
-    for bit; returns the steps the verify walk took in each segment."""
+    for bit; returns the steps walked in each row."""
     word, path, samples = sequential_ergodic(cfg, prep)
     grid, walked = _segment_grid(_branch_blocks(prep.mp), prep.p_star.entries, word[1:])
     assert grid.tobytes() == path.tobytes()
     assert run_ergodic(cfg, prep)[0].tobytes() == samples.tobytes()
-    # Segment 0 is exact from the batched pass; every later one walks at
-    # least the step that meets (or replaces) its stored value.
-    assert walked[0] == 0 and (walked[1:] >= 1).all()
-    assert (walked <= experiments._SEGMENT).all()
+    # A row whose seam check passed is not walked; any other walks at least
+    # the step that meets (or replaces) its stored value.
+    assert ((walked >= 0) & (walked <= experiments._SEGMENT)).all()
     return walked
 
 
@@ -265,8 +264,9 @@ def spy(monkeypatch, name):
 
 
 class TestSegmentedErgodic:
-    """The segment grid, called directly: desk words take the walk in the
-    run, so these keep the grid's batched pass and verify walk tested."""
+    """The segment grid, called directly: words of at most ``_WALK_STEPS``
+    take the walk in the run, so these keep the grid's warm-started rows,
+    seam check and walks tested."""
 
     @pytest.mark.parametrize("name", DESK_CONFIGS)
     def test_desk_configs_bitwise(self, name):
@@ -274,16 +274,16 @@ class TestSegmentedErgodic:
         assert_segmented_exact(cfg, prepare(cfg))
 
     def test_heavy_loss_rerun_rounds_bitwise(self):
-        # Under heavy loss some segments do not forget the fixed point within
-        # their steps: the verify walk crosses at least one whole segment
-        # without meeting the batched pass's values, and must stay exact.
+        # Under heavy loss some rows do not forget their warm-up start within
+        # their steps: a walk crosses at least one whole row without meeting
+        # its stored values, and the next row is walked from the new seam.
         cfg = replace(load_config(CONFIGS / "paper_section5_heavy.json"), master_seed=18)
         walked = assert_segmented_exact(cfg, prepare(cfg))
         assert walked.max() == experiments._SEGMENT
 
     def test_moderate_long_word_bitwise_against_walk(self):
-        # The benchmark's rate word: 200 segments, each met by the verify
-        # walk after some hundreds of steps, never at its end.
+        # The benchmark's rate word: 800 rows, most of them exact at their
+        # seam after the warm-up, so only a few thousand steps are walked.
         cfg = load_config(CONFIGS / "paper_section5_moderate.json")
         prep = prepare(cfg)
         word = sample_chain(cfg.channel, stationary_probability(cfg.channel),
@@ -291,17 +291,27 @@ class TestSegmentedErgodic:
         blocks = _branch_blocks(prep.mp)
         grid, walked = _segment_grid(blocks, prep.p_star.entries, word[1:])
         assert grid.tobytes() == _walk(blocks, prep.p_star.entries, word[1:]).tobytes()
-        assert 1 <= walked[1:].min() and walked.max() < experiments._SEGMENT
+        assert np.count_nonzero(walked) < walked.size // 4
+        assert walked.sum() < 200_000 // 10
+
+    @pytest.mark.parametrize("name", ["paper_section5.json", "paper_section5_moderate.json"])
+    def test_million_step_words_bitwise_against_walk(self, name):
+        cfg = load_config(CONFIGS / name)
+        prep = prepare(cfg)
+        word = sample_chain(cfg.channel, stationary_probability(cfg.channel),
+                            1_000_000, cfg.master_seed, stream=ERGODIC_STREAM)
+        blocks = _branch_blocks(prep.mp)
+        grid, walked = _segment_grid(blocks, prep.p_star.entries, word[1:])
+        assert grid.tobytes() == _walk(blocks, prep.p_star.entries, word[1:]).tobytes()
+        assert np.count_nonzero(walked) < walked.size // 4
 
     @pytest.mark.parametrize(
         "length",
-        [
-            1,
-            experiments._SEGMENT - 1,
-            experiments._SEGMENT,
-            experiments._SEGMENT + 1,
-            5 * experiments._SEGMENT // 2 + 7,
-        ],
+        sorted(
+            {1, 999, 1000, 1001, 2507}
+            | {k + d for k in (experiments._SEGMENT, experiments._WARMUP,
+                               experiments._WARMUP + experiments._SEGMENT) for d in (-1, 0, 1)}
+        ),
     )
     def test_lengths_around_segment_bitwise(self, ref_cfg, ref_prep, length):
         assert_segmented_exact(replace(ref_cfg, ergodic_length=length), ref_prep)
@@ -312,23 +322,26 @@ class TestSegmentedErgodic:
         cfg = replace(
             load_config(CONFIGS / "paper_section5_heavy.json"), ergodic_length=500
         )
-        walked = assert_segmented_exact(cfg, prepare(cfg))
-        assert (walked == segment).any()
+        prep = prepare(cfg)
+        for warmup in (0, 1, 40, 600):
+            monkeypatch.setattr(experiments, "_WARMUP", warmup)
+            walked = assert_segmented_exact(cfg, prep)
+            assert (walked == segment).any()
 
     def test_rounds_bounded_without_coalescence(self, tmp_path):
         # With a scaled by 8 the recursion forgets its start far more slowly:
-        # no segment meets the batched pass's values within its steps, the
-        # verify walk crosses every later segment whole, and the path stays
-        # exact through the breakdown.
-        cfg = overflow_config(tmp_path, ergodic_length=5 * experiments._SEGMENT)
+        # no row meets the true path within its warm-up or its own steps, so
+        # every seam check fails, every row is walked whole, and the path
+        # stays exact.
+        cfg = overflow_config(tmp_path, ergodic_length=5_000)
         with np.errstate(all="ignore"):
             walked = assert_segmented_exact(cfg, prepare(cfg))
-        assert (walked[1:] == experiments._SEGMENT).all()
+        assert (walked == experiments._SEGMENT).all()
 
 
 class TestWalk:
     """The plain-float walk that serves 2x2 words of at most
-    ``_WALK_SEGMENTS`` segments, against the step-by-step oracle."""
+    ``_WALK_STEPS`` steps, against the step-by-step oracle."""
 
     @pytest.mark.parametrize("name", DESK_CONFIGS)
     def test_desk_configs_bitwise(self, monkeypatch, name):
@@ -343,7 +356,7 @@ class TestWalk:
 
     @pytest.mark.parametrize(
         "length",
-        [1, experiments._SEGMENT - 1, experiments._SEGMENT, experiments._SEGMENT + 1],
+        [1, 999, 1000, 1001],
     )
     def test_lengths_around_segment_bitwise(self, ref_cfg, ref_prep, length):
         assert_walked_exact(replace(ref_cfg, ergodic_length=length), ref_prep)
@@ -355,16 +368,16 @@ class TestWalk:
         assert np.isnan(path).any()
 
     def test_word_over_the_limit_takes_the_grid(self, monkeypatch, ref_cfg, ref_prep):
-        monkeypatch.setattr(experiments, "_WALK_SEGMENTS", 2)
         limit = 2 * experiments._SEGMENT
+        monkeypatch.setattr(experiments, "_WALK_STEPS", limit)
         walk, grid = spy(monkeypatch, "_walk"), spy(monkeypatch, "_segment_grid")
         assert_walked_exact(replace(ref_cfg, ergodic_length=limit), ref_prep)
         assert (len(walk), len(grid)) == (1, 0)
         assert_walked_exact(replace(ref_cfg, ergodic_length=limit + 1), ref_prep)
         assert len(grid) == 1
-        # Past the limit the only walks are the grid's verify walks, one per
-        # later segment, each against the batched pass's values.
-        assert [len(args) for args in walk[1:]] == [4, 4]
+        # Past the limit the only walks are the grid's, each of one row
+        # against the values stored for it.
+        assert all(len(args) == 4 for args in walk[1:])
 
     def test_three_state_plant_takes_the_grid(self, monkeypatch):
         grid = spy(monkeypatch, "_segment_grid")
