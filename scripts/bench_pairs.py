@@ -12,6 +12,12 @@ working directory; the parent goes first in even-numbered pairs (0, 2, ...)
 and the change first in odd ones, so host drift falls on both sides alike.
 ``--workload`` may be repeated; every workload gets its own pairs.
 
+Before the first pair, ``python -m compileall -q src`` runs in each
+checkout.  With ``PYTHONDONTWRITEBYTECODE`` set, a checkout whose
+``__pycache__`` is missing or stale would otherwise recompile every module
+in every op process, which shows up as start-up time and peak RSS on that
+side alone.  The summary's host stamp records whether the variable was set.
+
 The summary is written to ``BENCH_<name>.json`` in the change's checkout.
 For each workload and end-to-end metric of the change's ``BENCHMARK.json``
 it holds both sides' runs with their median and quartiles (linear
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -105,6 +112,8 @@ def main(argv=None) -> int:
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {path} has no perfbench/run.py")
     metrics = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    for path in checkouts.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src"], cwd=path, check=True)
 
     workloads, stamp = {}, {}
     for workload in args.workload:
@@ -128,6 +137,7 @@ def main(argv=None) -> int:
             "metrics": {m["name"]: summarize(runs, m) for m in metrics},
         }
     out = checkouts["change"] / f"BENCH_{args.name}.json"
+    stamp = dict(stamp, pythondontwritebytecode=bool(os.environ.get("PYTHONDONTWRITEBYTECODE")))
     out.write_text(json.dumps({
         "host": stamp,
         "perfbench": {

@@ -13,27 +13,34 @@ The package namespace exports only the core names below; everything else is
 imported from its submodule.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .channel import ChannelParams
-from .estimator import pcm_step
-from .experiments import ExperimentConfig, prepare
-from .pdm import PDMatrix, riemannian_distance
-from .plant import NominalPlant, build_modified_plant
-from .riccati import solve_dare
-from .stationary import delta_distribution, enumerate_reachable
+# Each export resolves on first use, so ``import pcmlab`` imports neither
+# numpy nor any submodule; the CLI relies on that to set up numpy's
+# environment before numpy loads.
+_EXPORTS = {
+    "ChannelParams": "channel",
+    "ExperimentConfig": "experiments",
+    "NominalPlant": "plant",
+    "PDMatrix": "pdm",
+    "build_modified_plant": "plant",
+    "delta_distribution": "stationary",
+    "enumerate_reachable": "stationary",
+    "pcm_step": "estimator",
+    "prepare": "experiments",
+    "riemannian_distance": "pdm",
+    "solve_dare": "riccati",
+}
 
-__all__ = [
-    "__version__",
-    "ChannelParams",
-    "ExperimentConfig",
-    "NominalPlant",
-    "PDMatrix",
-    "build_modified_plant",
-    "delta_distribution",
-    "enumerate_reachable",
-    "pcm_step",
-    "prepare",
-    "riemannian_distance",
-    "solve_dare",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

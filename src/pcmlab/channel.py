@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import mix64
+from .rng import mix64_streams
 
 # Rows of uniforms that sample_chain_batch holds at a time.
 _CHUNK = 256
@@ -65,28 +65,33 @@ def sample_chain_batch(
     of ``seed``: the initial state is Bernoulli(``init_p1``) and the later
     steps follow the anchor and parity rule of the module docstring.  One
     generator is re-keyed per row (key, counter and buffer set as
-    :func:`pcmlab.rng.stream_rng` leaves them), and the uniforms are drawn
-    and resolved ``_CHUNK`` rows at a time.
+    :func:`pcmlab.rng.stream_rng` leaves them; the keys of all rows come
+    from one :func:`pcmlab.rng.mix64_streams` pass), and the uniforms are
+    drawn and resolved ``_CHUNK`` rows at a time.  Anchors are step indices,
+    held in the narrowest unsigned type that holds ``length``.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     if not (0.0 <= init_p1 <= 1.0):
         raise ValueError("init_p1 must lie in [0, 1]")
+    keys = mix64_streams(seed, stream_offset, n_chains).tolist()
     words = np.empty((n_chains, length + 1), dtype=np.uint8)
     a, nb = params.alpha, 1.0 - params.beta
     lo, hi = min(a, nb), max(a, nb)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
+    key = state["state"]["key"]
+    key[1] = 0
+    state["state"]["counter"][:] = 0
+    state["buffer_pos"] = 4
     u = np.empty((min(n_chains, _CHUNK), length + 1))
-    anchors = np.empty(u.shape, dtype=np.intp)
-    k = np.arange(length + 1)
+    k = np.arange(length + 1, dtype=np.min_scalar_type(length))
+    anchors = np.empty(u.shape, dtype=k.dtype)
     for start in range(0, n_chains, _CHUNK):
         rows = u[: min(_CHUNK, n_chains - start)]
-        for i, row in enumerate(rows, start + stream_offset):
-            state["state"]["key"][:] = (mix64(seed, i), 0)
-            state["state"]["counter"][:] = 0
-            state["buffer_pos"] = 4
+        for row, row_key in zip(rows, keys[start : start + rows.shape[0]]):
+            key[0] = row_key
             bitgen.state = state
             gen.random(out=row)
         out = words[start : start + rows.shape[0]]

@@ -27,11 +27,17 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_type_hints
+
+# numpy's bundled OpenBLAS starts its worker threads when numpy loads.  The
+# largest product pcmlab hands it is 2x2, so a second thread only spins;
+# pin one before the first numpy import.  A value the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

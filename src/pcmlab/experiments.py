@@ -41,12 +41,15 @@ SIMULATE_CHAIN_STREAM = (1 << 48) + 1
 SIMULATE_NOISE_STREAM = (1 << 48) + 2
 
 # Steps per row of the parallel-in-time ergodic grid, the steps each row
-# runs before its seam to forget its start, and the most steps of a 2x2 word
-# that the ergodic run walks in plain floats instead (see run_ergodic).
-# They set the run's speed only, never its output.
+# runs before its seam to forget its start, the most steps of a 2x2 word
+# that the ergodic run walks in plain floats instead, and the fewest
+# arrivals per _WARMUP steps, on the word's mean, for which a longer 2x2
+# word takes the grid (see run_ergodic).  They set the run's speed only,
+# never its output.
 _SEGMENT = 250
 _WARMUP = 350
 _WALK_STEPS = 100_000
+_GRID_ARRIVALS = 64
 
 
 class NonFiniteSampleError(FloatingPointError):
@@ -274,13 +277,16 @@ def run_ergodic(
     initial step, so ``horizon + 1`` distances are returned.
 
     The path is bit-identical to applying the branch maps one step after
-    another, and it is built one of two ways, chosen by the size of the
-    input alone.  A 2x2 word of at most ``_WALK_STEPS`` steps (the desk
-    tables and the full-scale run) is walked in Python floats by
-    ``plant._walk``: on a word that short, numpy call overhead, not
-    arithmetic, is the cost of any batched evaluation.  Longer words and
-    other sizes are evaluated parallel in time on a grid of rows, whose
-    overhead is then spread over hundreds of rows, and then checked.
+    another, and it is built one of two ways, chosen by the input word
+    alone.  A 2x2 word of at most ``_WALK_STEPS`` steps (the desk tables
+    and the full-scale run) is walked in Python floats by ``plant._walk``:
+    on a word that short, numpy call overhead, not arithmetic, is the cost
+    of any batched evaluation.  So is a longer 2x2 word whose mean arrivals
+    over ``_WARMUP`` steps fall below ``_GRID_ARRIVALS``: the recursion
+    forgets its start through arrivals, so on such a word most grid rows
+    fail their seam check (below) and are walked anyway.  Other words and
+    sizes are evaluated parallel in time on a grid of rows, whose overhead
+    is then spread over hundreds of rows, and then checked.
 
     The grid cuts the word, padded with arrivals to whole rows, into rows
     of ``_SEGMENT`` steps; row ``j`` owns the steps after its seam, step
@@ -301,16 +307,25 @@ def run_ergodic(
     state equals, bit for bit, the value stored there, or at the row's end.
     The maps are deterministic functions of their input bits (batched and
     single calls agree bit for bit), so by induction from ``path[0]``, the
-    fixed point itself, every seam and every row is the exact path, whatever
-    the values, NaN and inf included.  ``_SEGMENT``, ``_WARMUP`` and
-    ``_WALK_STEPS`` change the speed only, never the result.
+    fixed point itself, every seam and every row is the exact path, inf
+    included.  A NaN keeps its place but not always its sign and payload
+    bits, which numpy picks by array length (see :mod:`pcmlab.plant`); a
+    path holding one fails its distances either way.  ``_SEGMENT``,
+    ``_WARMUP``, ``_WALK_STEPS`` and ``_GRID_ARRIVALS`` change the speed
+    only, never the result.
 
     On the moderate config at 200k steps, 117 of the 800 rows are walked,
     11,251 steps in all, and the grid takes about 0.16 s in process, where
     the former grid (one batched pass from the fixed point at every seam,
     then a walk in every 1000-step segment) walked 49,578 steps in 0.28 s.
     Under heavy loss most rows do not meet the true path within their
-    warm-up, so the grid there costs about what walking the whole word does.
+    warm-up (759 of 800 rows on the heavy config at 200k steps, about 28
+    arrivals per warm-up), and the grid takes longer than the walk.  On the
+    desk plant at 200k steps, against walking the word, the grid broke even
+    at about 45 arrivals per warm-up on independent symbols and about 80 on
+    persistent ones (``alpha = 0.9``); ``_GRID_ARRIVALS = 64`` lies between.
+    The low (332) and moderate (272) configs take the grid, the heavy one
+    (28) the walk.
 
     A path whose distances fail because a PCM breaks ``PDMatrix``'s rules
     raises :class:`NotPositiveDefiniteError` naming the first such step and
@@ -332,12 +347,14 @@ def run_ergodic(
 def _ergodic_path(mp: ModifiedPlant, p_star: np.ndarray, word: np.ndarray) -> np.ndarray:
     """PCM path driven by ``word[1:]`` from ``p_star``: ``path[0] = p_star``
     and ``path[k]`` is the branch map of ``word[k]`` applied to
-    ``path[k - 1]``.  A 2x2 word of at most ``_WALK_STEPS`` steps is walked
-    one step after another, any other on the segment grid; see
-    :func:`run_ergodic`."""
+    ``path[k - 1]``.  A 2x2 word of at most ``_WALK_STEPS`` steps, or with
+    fewer than ``_GRID_ARRIVALS`` arrivals per ``_WARMUP`` steps on its
+    mean, is walked one step after another, any other on the segment grid;
+    see :func:`run_ergodic`."""
     blocks = _branch_blocks(mp)
     bits = word[1:]
-    if p_star.shape[0] == 2 and bits.size <= _WALK_STEPS:
+    sparse = np.count_nonzero(bits) * _WARMUP < _GRID_ARRIVALS * bits.size
+    if p_star.shape[0] == 2 and (bits.size <= _WALK_STEPS or sparse):
         return _walk(blocks, p_star, bits)
     return _segment_grid(blocks, p_star, bits)[0]
 

@@ -229,9 +229,12 @@ def riemannian_distance(p: PDMatrix | np.ndarray, q: PDMatrix | np.ndarray) -> f
     lower triangle with ``dsyevd``, the solver ``dsygvd`` calls next.  That
     keeps every distance bit of the generalized eigensolver, which
     ``results/`` and the perfbench reference pin through the distance
-    ladder, and the exact FMA makes the result independent of which BLAS
-    kernel is dispatched.  Other sizes are the one-matrix case of
-    :func:`distances_to`, with ``q`` as its reference.
+    ladder, on FMA-capable kernels.  The exact FMA does not make the result
+    independent of the kernel: the Cholesky factor comes from the
+    dispatched LAPACK/BLAS, and under ``OPENBLAS_CORETYPE=Nehalem`` (no
+    FMA) it, p* and the ladder change in the last digits.  Other sizes are
+    the one-matrix case of :func:`distances_to`, with ``q`` as its
+    reference.
 
     Parameters
     ----------

@@ -29,13 +29,22 @@ Any other ``n`` holds the stack itself and goes through batched matrix
 products and LAPACK solves (``_gamma0_stack`` / ``_gamma1_stack``).
 
 Each step applies one column of arrival symbols.  A column of only arrivals
-or only drops runs its one map.  A column that mixes them evaluates both
-maps on every entry and keeps the selected one with
-``np.copyto(..., where=got)``, rather than gathering and scattering
-matrices by boolean index: for 2x2 stacks the gather/scatter was half the
-step's time and did no arithmetic, and compressing each plane instead is
-slower again.  The map not selected may overflow or divide by zero on an
-entry; its value there is never read, and the kernel silences the warning.
+or only drops runs its one map.  A column that mixes them runs the map most
+of its rows select on the whole stack, and the other map only on the rows
+that select it: their indices (``np.flatnonzero``) gather those rows of
+each plane (``take``), and the results are scattered back by the same
+indices.  On the desk tables every column mixes, and the minority is 5-22%
+of the rows, so a step costs about one map instead of two.  The majority
+map may overflow or divide by zero on a minority row; its value there is
+overwritten, and the kernel silences the warning.
+
+Finite and infinite results do not depend on the stack around a row, nor
+on the call path (planes, Python floats, a gathered subset).  The sign and
+payload of a NaN may: when both operands of an operation are NaN, which one
+is returned depends on the loop numpy picks for the array's length and on
+whether it works in place.  No output reads those bits: a NaN anywhere in a
+path or a trial fails its distances and the run names the first step that
+breaks the ``PDMatrix`` rules, which is the same on every path.
 """
 
 from __future__ import annotations
@@ -172,12 +181,15 @@ class ModifiedPlant:
 
 def _times_2x2(a00, a01, a10, a11, p00, p01, p11):
     """Entries of ``a p`` for symmetric 2x2 ``p`` given by its entry planes."""
-    return (
-        a00 * p00 + a01 * p01,
-        a00 * p01 + a01 * p11,
-        a10 * p00 + a11 * p01,
-        a10 * p01 + a11 * p11,
-    )
+    r00 = a00 * p00
+    r00 += a01 * p01
+    r01 = a00 * p01
+    r01 += a01 * p11
+    r10 = a10 * p00
+    r10 += a11 * p01
+    r11 = a10 * p01
+    r11 += a11 * p11
+    return r00, r01, r10, r11
 
 
 def _coefficients(*mats) -> tuple:
@@ -203,41 +215,88 @@ def _set_planes(out: np.ndarray, x00, x01, x11) -> np.ndarray:
 # The 2x2 formulas, in the same operation order, are those of the plain-float
 # recursion in perfbench/run.py (``rate_oracle``).  On entry planes every
 # scalar operation is one numpy call over the whole stack; on Python floats
-# (``_walk``) the same ``+ - * /`` round the same way.
+# (``_walk``) the same ``+ - * /`` round the same way.  Each entry is built
+# by augmented assignment: a Python float is rebound, a plane is updated in
+# place, so the planes allocate about one array per entry rather than one
+# per operation.  Every step keeps the operand order of the formula in the
+# docstring (``x = a * b; x += c`` is ``a * b + c``), up to the swap of a
+# constant and an expression, which rounds the same.
 
 
 def _gamma0_planes(coef: tuple, p00, p01, p11) -> tuple:
-    """Open-loop map on entry planes; ``coef`` is ``_coefficients(a0, w0)``."""
+    """Open-loop map on entry planes; ``coef`` is ``_coefficients(a0, w0)``.
+
+    Returns ``(r00 a00 + r01 a01 + w00,
+    0.5 ((r00 a10 + r01 a11) + (r10 a00 + r11 a01)) + w01,
+    r10 a10 + r11 a11 + w11)`` with ``r = a0 p``.
+    """
     a00, a01, a10, a11, w00, w01, _, w11 = coef
     r00, r01, r10, r11 = _times_2x2(a00, a01, a10, a11, p00, p01, p11)
-    return (
-        r00 * a00 + r01 * a01 + w00,
-        0.5 * ((r00 * a10 + r01 * a11) + (r10 * a00 + r11 * a01)) + w01,
-        r10 * a10 + r11 * a11 + w11,
-    )
+    x00 = r00 * a00
+    x00 += r01 * a01
+    x00 += w00
+    x01 = r00 * a10
+    x01 += r01 * a11
+    y01 = r10 * a00
+    y01 += r11 * a01
+    x01 += y01
+    x01 *= 0.5
+    x01 += w01
+    x11 = r10 * a10
+    x11 += r11 * a11
+    x11 += w11
+    return x00, x01, x11
 
 
 def _gamma1_planes(coef: tuple, p00, p01, p11) -> tuple:
     """Measurement map on entry planes; ``coef`` is ``_coefficients(a1, w1, k1)``.
 
     The inverse is ``adj(m) / det(m)`` with ``m = I + k1 z``, and the two
-    off-diagonal entries of the product are averaged into one.
+    off-diagonal entries of the product are averaged into one: with
+    ``z = a1 p a1' + w1`` (entries as in :func:`_gamma0_planes`) and
+    ``det = m00 m11 - m01 m10``, it returns ``((z00 m11 - z01 m10) / det,
+    0.5 ((-z00 m01 + z01 m00) + (z01 m11 - z11 m10)) / det,
+    (-z01 m01 + z11 m00) / det)``.
     """
     a00, a01, a10, a11, w00, w01, _, w11, k00, k01, k10, k11 = coef
     r00, r01, r10, r11 = _times_2x2(a00, a01, a10, a11, p00, p01, p11)
-    z00 = r00 * a00 + r01 * a01 + w00
-    z01 = r00 * a10 + r01 * a11 + w01
-    z11 = r10 * a10 + r11 * a11 + w11
-    m00 = 1.0 + k00 * z00 + k01 * z01
-    m01 = k00 * z01 + k01 * z11
-    m10 = k10 * z00 + k11 * z01
-    m11 = 1.0 + k10 * z01 + k11 * z11
-    det = m00 * m11 - m01 * m10
-    return (
-        (z00 * m11 - z01 * m10) / det,
-        0.5 * ((-z00 * m01 + z01 * m00) + (z01 * m11 - z11 * m10)) / det,
-        (-z01 * m01 + z11 * m00) / det,
-    )
+    z00 = r00 * a00
+    z00 += r01 * a01
+    z00 += w00
+    z01 = r00 * a10
+    z01 += r01 * a11
+    z01 += w01
+    z11 = r10 * a10
+    z11 += r11 * a11
+    z11 += w11
+    m00 = k00 * z00
+    m00 += 1.0
+    m00 += k01 * z01
+    m01 = k00 * z01
+    m01 += k01 * z11
+    m10 = k10 * z00
+    m10 += k11 * z01
+    m11 = k10 * z01
+    m11 += 1.0
+    m11 += k11 * z11
+    det = m00 * m11
+    det -= m01 * m10
+    x00 = z00 * m11
+    x00 -= z01 * m10
+    x00 /= det
+    x01 = -z00
+    x01 *= m01
+    x01 += z01 * m00
+    y01 = z01 * m11
+    y01 -= z11 * m10
+    x01 += y01
+    x01 *= 0.5
+    x01 /= det
+    x11 = -z01
+    x11 *= m01
+    x11 += z11 * m00
+    x11 /= det
+    return x00, x01, x11
 
 
 def _gamma0_stack(coef: tuple, p: np.ndarray) -> tuple:
@@ -281,11 +340,15 @@ def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = 
 
     The loop holds a 2x2 stack as its three contiguous entry planes and
     writes it back once; any other size is held as the stack itself.  A
-    column that mixes arrivals and drops evaluates both maps on every entry
-    and keeps the selected one.  The other map may overflow or divide by
-    zero on an entry whose value is never read, so floating-point errors
-    are ignored here; a breakdown of a selected value passes through as
-    inf or NaN for the caller to find.
+    column that mixes arrivals and drops applies the map most of its rows
+    select to the whole stack, and the other map only to the rows that
+    select it, gathered by index; their results are scattered back over the
+    first.  Each entry's value depends on that entry alone, so a row gets
+    the bits of its own map however the stack is cut (up to the sign and
+    payload of a NaN; see the module docstring).  The majority map
+    may overflow or divide by zero on a minority row whose value is then
+    overwritten, so floating-point errors are ignored here; a breakdown of
+    a selected value passes through as inf or NaN for the caller to find.
     """
     a0, w0, a1, w1, k1 = blocks
     if p.shape[-1] == 2:
@@ -296,20 +359,26 @@ def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = 
         gamma0, gamma1, store = _gamma0_stack, _gamma1_stack, np.copyto
         coef0, coef1 = (a0, w0), (a1, w1, k1)
         state = (p,)
-    # A column's mask broadcasts over the trailing axes of the state.
-    columns = words.reshape(words.shape + (1,) * (state[0].ndim - 1))
+    rows = words.shape[0]
     with np.errstate(all="ignore"):
         for k in range(words.shape[1]):
-            got = columns[:, k] != 0
-            if got.all():
+            column = words[:, k]
+            arrivals = np.count_nonzero(column)
+            if arrivals == rows:
                 state = gamma1(coef1, *state)
-            elif not got.any():
+            elif arrivals == 0:
                 state = gamma0(coef0, *state)
             else:
-                mixed = gamma0(coef0, *state)
-                for x, y in zip(mixed, gamma1(coef1, *state)):
-                    np.copyto(x, y, where=got)
-                state = mixed
+                if 2 * arrivals > rows:
+                    picked = np.flatnonzero(column == 0)
+                    minority = gamma0(coef0, *(x.take(picked, axis=0) for x in state))
+                    state = gamma1(coef1, *state)
+                else:
+                    picked = np.flatnonzero(column)
+                    minority = gamma1(coef1, *(x.take(picked, axis=0) for x in state))
+                    state = gamma0(coef0, *state)
+                for x, y in zip(state, minority):
+                    x[picked] = y
             if out is not None:
                 store(out[:, k], *state)
     store(p, *state)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import pcmlab.channel as channel
 from pcmlab import ChannelParams
 from pcmlab.channel import sample_chain, sample_chain_batch, stationary_probability
-from pcmlab.rng import mix64, stream_rng
+from pcmlab.rng import mix64, mix64_streams, stream_rng
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -123,6 +123,32 @@ class TestSampleChain:
                 )
 
 
+    @pytest.mark.parametrize("alpha, beta", [(0.8, 0.3), (0.2, 0.3)])
+    def test_lengths_across_the_anchor_dtype_switch(self, alpha, beta):
+        # Anchors are held as uint16 up to length 65535 and as uint32 from
+        # 65536 on; one and two rows at the lengths on both sides.
+        # At 65536 only the last step would suffer from too narrow a type,
+        # so eight rows are checked there.
+        params = ChannelParams(alpha, beta)
+        for length in range(65533, 65537):
+            rows = 8 if length == 65536 else 2
+            want = [step_loop_chain(params, 0.35, length, 11, 40 + i) for i in range(rows)]
+            for n_chains in sorted({1, 2, rows}):
+                batch = sample_chain_batch(params, 0.35, length, 11, n_chains, 40)
+                for i in range(n_chains):
+                    assert batch[i].tobytes() == want[i].tobytes()
+
+
+def splitmix64(seed, stream):
+    """Oracle: the SplitMix64 finalizer of ``seed + GOLDEN * (stream + 1)``
+    in Python integers, reduced modulo 2**64 after every step."""
+    mask = (1 << 64) - 1
+    z = (seed + 0x9E3779B97F4A7C15 * (stream + 1)) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 class TestSeedRange:
     # The seed mixer works modulo 2**64, so -1 would alias 2**64 - 1.
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -138,3 +164,16 @@ class TestSeedRange:
     def test_range_ends_accepted(self, seed):
         word = sample_chain(ChannelParams(0.8, 0.3), 0.7, 1000, seed, stream=0)
         assert word.tobytes() == step_loop_chain(ChannelParams(0.8, 0.3), 0.7, 1000, seed, 0).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 20260809, 2**64 - 1])
+    def test_stream_keys_equal_the_integer_finalizer(self, seed):
+        for first, count in [(0, 300), (1 << 48, 5), (2**64 - 4, 4)]:
+            keys = mix64_streams(seed, first, count)
+            assert keys.dtype == np.uint64
+            want = [splitmix64(seed, first + i) for i in range(count)]
+            assert keys.tolist() == want
+            assert [mix64(seed, first + i) for i in range(count)] == want
+
+    def test_stream_range_past_the_end_refused(self):
+        with pytest.raises(ValueError, match=rf"stream must lie in \[0, 2\*\*64\), got {2**64}$"):
+            mix64_streams(5, 2**64 - 4, 5)

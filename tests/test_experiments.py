@@ -379,6 +379,44 @@ class TestWalk:
         # against the values stored for it.
         assert all(len(args) == 4 for args in walk[1:])
 
+    @pytest.mark.parametrize("name, route", [
+        ("paper_section5.json", "_segment_grid"),
+        ("paper_section5_moderate.json", "_segment_grid"),
+        ("paper_section5_heavy.json", "_walk"),
+    ])
+    def test_long_word_route_follows_its_arrivals(self, monkeypatch, name, route):
+        # At 200k steps low (332 arrivals per warm-up) and moderate (272)
+        # take the grid; heavy (28) would walk most grid rows anyway.
+        cfg = load_config(CONFIGS / name)
+        prep = prepare(cfg)
+        word = sample_chain(cfg.channel, stationary_probability(cfg.channel),
+                            200_000, cfg.master_seed, stream=ERGODIC_STREAM)
+        want = _walk(_branch_blocks(prep.mp), prep.p_star.entries, word[1:])
+        walk, grid = spy(monkeypatch, "_walk"), spy(monkeypatch, "_segment_grid")
+        path = _ergodic_path(prep.mp, prep.p_star.entries, word)
+        assert path.tobytes() == want.tobytes()
+        if route == "_walk":
+            assert not grid and len(walk) == 1
+        else:
+            # The grid's own walks each cover one row against its stored values.
+            assert len(grid) == 1 and all(len(args) == 4 for args in walk)
+
+    def test_grid_arrivals_threshold(self, monkeypatch, ref_prep):
+        # Past the walk limit a word walks exactly when its arrivals per
+        # _WARMUP steps, on its mean, fall below _GRID_ARRIVALS.
+        monkeypatch.setattr(experiments, "_WALK_STEPS", 10)
+        grid = spy(monkeypatch, "_segment_grid")
+        size = 2 * experiments._WARMUP
+        for arrivals, takes_grid in [(2 * experiments._GRID_ARRIVALS, True),
+                                     (2 * experiments._GRID_ARRIVALS - 1, False)]:
+            word = np.zeros(size + 1, np.uint8)
+            word[1 : arrivals + 1] = 1
+            before = len(grid)
+            path = _ergodic_path(ref_prep.mp, ref_prep.p_star.entries, word)
+            want = _walk(_branch_blocks(ref_prep.mp), ref_prep.p_star.entries, word[1:])
+            assert path.tobytes() == want.tobytes()
+            assert len(grid) - before == takes_grid
+
     def test_three_state_plant_takes_the_grid(self, monkeypatch):
         grid = spy(monkeypatch, "_segment_grid")
         plant = random_plant(np.random.default_rng(7), n=3, m=2, p=2, n_err=1)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pcmlab import PDMatrix, build_modified_plant, prepare
-from pcmlab.channel import sample_chain, stationary_probability
+import pcmlab.plant as plant
+from pcmlab.channel import sample_chain, sample_chain_batch, stationary_probability
 from pcmlab.cli import load_config
 from pcmlab.experiments import ERGODIC_STREAM, _ergodic_path
 from pcmlab.pdm import SingularMatrixError, homographic
@@ -16,6 +17,7 @@ from pcmlab.plant import (
     _gamma0_planes,
     _gamma1_planes,
     _planes,
+    _walk,
     check_structure,
     sensitivity_matrices,
 )
@@ -323,7 +325,9 @@ class TestBranchKernel:
 STACK_SIZES = [1, 2, 255, 257, 5000]
 
 
-def bundled_blocks():
+@pytest.fixture(scope="module")
+def blocks():
+    """The branch blocks of every bundled config."""
     return [_branch_blocks(prepare(load_config(config)).mp) for config in BUNDLED_CONFIGS]
 
 
@@ -340,12 +344,8 @@ def float_step(blocks, stack, got):
 
 
 class TestPlaneKernel:
-    """The entry-plane maps and the masked step the kernel runs, bit for bit
+    """The entry-plane maps and the kernel's one-column step, bit for bit
     against the plain-float maps."""
-
-    @pytest.fixture(scope="class")
-    def blocks(self):
-        return bundled_blocks()
 
     @pytest.mark.parametrize("k", STACK_SIZES)
     def test_plane_maps_equal_plain_float_maps(self, blocks, k):
@@ -431,3 +431,108 @@ class TestPlaneKernel:
         for mode in ("raise", "warn"):
             with np.errstate(all=mode):
                 one_step(self.BLOCKS, self.BAD_STACK, got)
+
+
+def walk_rows(blocks, start, words):
+    """Each row's states after every column, each row walked alone by
+    ``_walk``: the oracle of a stack step whose rows select their maps."""
+    return np.stack([_walk(blocks, p, w)[1:] for p, w in zip(start, words)])
+
+
+def assert_same_values(got, want):
+    """Bit for bit, except that a NaN matches any NaN: numpy picks the sign
+    and payload of a NaN by array length and in-place use."""
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def mixed_words(rng, rows, width=40):
+    """A word matrix whose columns cover every way a column can select its
+    maps: all drops, all arrivals, exactly half (ties run the open-loop map
+    on the whole stack), half plus one, a single arrival, a single drop,
+    and random columns with either map in the majority."""
+    special = [np.zeros(rows, bool), np.ones(rows, bool)]
+    if rows > 1:
+        half = np.arange(rows) < rows // 2
+        special += [half, ~half, np.arange(rows) <= rows // 2]
+        special += [np.arange(rows) == rows // 3, np.arange(rows) != rows - 1]
+    columns = [rng.permutation(c) for c in special for _ in range(2)]
+    columns += [rng.random(rows) < rng.choice([0.1, 0.3, 0.7, 0.9]) for _ in range(width)]
+    order = rng.permutation(len(columns))
+    return np.stack([columns[i] for i in order], axis=1).astype(np.uint8)
+
+
+class TestMinoritySubset:
+    """A mixed column runs the map most of its rows select on the whole
+    stack and the other map only on the rows that select it, gathered and
+    scattered back; each row must end with the bits of its own walk."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 9, 10, 257])
+    def test_advance_equals_the_per_row_walk(self, blocks, rows):
+        rng = np.random.default_rng(rows)
+        words = mixed_words(rng, rows)
+        start = random_pd_stack(rng, 2, rows, 2.0)
+        for block in blocks:
+            want = walk_rows(block, start, words)
+            got, got_out = start.copy(), np.empty(want.shape)
+            _advance(block, got, words, got_out)
+            assert got_out.tobytes() == want.tobytes()
+            assert got.tobytes() == want[:, -1].tobytes()
+
+    def test_three_state_stacks_equal_the_per_row_walk(self):
+        # For n != 2 the subset runs batched products and LAPACK solves on
+        # the gathered matrices; a row's bits do not depend on the batch.
+        rng = np.random.default_rng(31)
+        blocks = _branch_blocks(build_modified_plant(random_plant(rng, n=3, m=2, p=2, n_err=1)))
+        for rows in (1, 9, 10):
+            words = mixed_words(rng, rows, width=12)
+            start = random_pd_stack(rng, 3, rows, 1.0)
+            want = walk_rows(blocks, start, words)
+            got, got_out = start.copy(), np.empty(want.shape)
+            _advance(blocks, got, words, got_out)
+            assert got_out.tobytes() == want.tobytes()
+            assert got.tobytes() == want[:, -1].tobytes()
+
+    def test_overflow_plant_passes_inf_and_nan_through(self):
+        # The heavy config with a scaled by 8: long drop runs overflow, and
+        # the rows that break down carry inf and NaN through later columns,
+        # gathered into the minority or not.
+        cfg = load_config(CONFIGS / "paper_section5_heavy.json")
+        mp = build_modified_plant(NominalPlant(
+            a=8 * cfg.plant.a, b=cfg.plant.b, c=cfg.plant.c, q=cfg.plant.q, r=cfg.plant.r,
+            da=cfg.plant.da, db=cfg.plant.db, dc=cfg.plant.dc, mu=cfg.plant.mu,
+        ))
+        blocks = _branch_blocks(mp)
+        words = sample_chain_batch(cfg.channel, cfg.init_p1, 400, cfg.master_seed, 60)[:, 1:]
+        start = np.broadcast_to(cfg.init_pcm_scale * np.eye(2), (60, 2, 2)).copy()
+        with np.errstate(all="ignore"):
+            want = walk_rows(blocks, start, words)
+        assert np.isnan(want[:, -1]).any() and np.isfinite(want[:, -1]).any()
+        got, got_out = start.copy(), np.empty(want.shape)
+        _advance(blocks, got, words, got_out)
+        assert_same_values(got_out, want)
+        assert_same_values(got, want[:, -1])
+
+    def test_minority_map_runs_on_its_rows_only(self, monkeypatch, blocks):
+        sizes = []
+        for name in ("_gamma0_planes", "_gamma1_planes"):
+            real = getattr(plant, name)
+
+            def spy(coef, *planes, real=real, name=name):
+                sizes.append((name, planes[0].size))
+                return real(coef, *planes)
+
+            monkeypatch.setattr(plant, name, spy)
+        words = np.zeros((10, 4), np.uint8)
+        words[:3, 0] = 1  # three arrivals: open loop on all ten, measurement on three
+        words[:, 1] = 1  # all arrivals
+        words[:9, 2] = 1  # one drop
+        words[:5, 3] = 1  # a tie
+        _advance(blocks[0], random_pd_stack(np.random.default_rng(0), 2, 10, 1.0), words)
+        assert sizes == [
+            ("_gamma1_planes", 3), ("_gamma0_planes", 10),
+            ("_gamma1_planes", 10),
+            ("_gamma0_planes", 1), ("_gamma1_planes", 10),
+            ("_gamma1_planes", 5), ("_gamma0_planes", 10),
+        ]

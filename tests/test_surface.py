@@ -73,18 +73,41 @@ def test_stack_jobs_reach_the_branch_maps_only_through_the_kernel():
         assert bound <= names, module.__name__
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy serves only the test oracles; importing it cost every CLI
-    # process most of its start-up time.
+def run_python(code, **env_changes):
+    """Standard output of ``python -c code`` with this checkout's ``src``
+    first on the path; an ``env_changes`` value of None unsets the name."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    for name, value in env_changes.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the test oracles; importing it cost every CLI
+    # process most of its start-up time.
     code = (
         "import sys, pcmlab.cli; "
         "print(' '.join(m for m in sys.modules if m.startswith('scipy')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == ""
+    assert run_python(code) == ""
+
+
+def test_package_import_loads_no_numpy():
+    # The exports resolve on first use, so the CLI can set numpy's
+    # environment after `import pcmlab` and before numpy loads.
+    code = "import sys, pcmlab; print('numpy' in sys.modules, len(pcmlab.__all__))"
+    assert run_python(code) == "False 12"
+
+
+def test_cli_pins_openblas_to_one_thread_unless_set():
+    code = "import os, pcmlab.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_python(code, OPENBLAS_NUM_THREADS=None) == "1"
+    assert run_python(code, OPENBLAS_NUM_THREADS="3") == "3"
