@@ -44,11 +44,16 @@ PER_CONFIG = (
     ("approx", "--method", "enumerate", "--max-len", "15"),
 )
 RATE = ("rate", "--ergodic-length", "200000")
+# 200k-step words take the segment grid on moderate loss and the walk on
+# heavy loss; samples.csv holds every one of their distances.
+LONG_ERGODIC = ("ergodic", "--ergodic-length", "200000")
 COMMANDS = [(config, args) for config in CONFIGS for args in PER_CONFIG] + [
     ("paper_section5.json", RATE),
     ("paper_section5_moderate.json", RATE),
     ("paper_section5_moderate.json", RATE + ("--seed", "1")),
     ("paper_section5_heavy.json", RATE),
+    ("paper_section5_moderate.json", LONG_ERGODIC),
+    ("paper_section5_heavy.json", LONG_ERGODIC),
 ]
 
 

@@ -67,8 +67,9 @@ def sample_chain_batch(
     generator is re-keyed per row (key, counter and buffer set as
     :func:`pcmlab.rng.stream_rng` leaves them; the keys of all rows come
     from one :func:`pcmlab.rng.mix64_streams` pass), and the uniforms are
-    drawn and resolved ``_CHUNK`` rows at a time.  Anchors are step indices,
-    held in the narrowest unsigned type that holds ``length``.
+    drawn and resolved ``_CHUNK`` rows at a time.  Each row's anchors come
+    from a running maximum of the packed code ``2k + value`` of its fixed
+    steps, held in the narrowest unsigned type that holds ``2 * length + 1``.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
@@ -86,8 +87,9 @@ def sample_chain_batch(
     state["state"]["counter"][:] = 0
     state["buffer_pos"] = 4
     u = np.empty((min(n_chains, _CHUNK), length + 1))
-    k = np.arange(length + 1, dtype=np.min_scalar_type(length))
-    anchors = np.empty(u.shape, dtype=k.dtype)
+    # Twice each step index, in the narrowest type that holds a packed code.
+    k2 = np.arange(0, 2 * length + 1, 2, dtype=np.min_scalar_type(2 * length + 1))
+    codes = np.empty(u.shape, dtype=k2.dtype)
     for start in range(0, n_chains, _CHUNK):
         rows = u[: min(_CHUNK, n_chains - start)]
         for row, row_key in zip(rows, keys[start : start + rows.shape[0]]):
@@ -98,14 +100,18 @@ def sample_chain_batch(
         np.less(rows, lo, out=out, casting="unsafe")
         out[:, 0] = rows[:, 0] < init_p1
         if lo < hi:
-            # Index of the last fixed step; column 0 anchors itself as k = 0.
-            anchor = anchors[: rows.shape[0]]
-            np.multiply(k, out | (rows >= hi), out=anchor)
-            np.maximum.accumulate(anchor, axis=1, out=anchor)
-            word = np.take_along_axis(out, anchor, axis=1)
+            # Code 2k + value at each fixed step k, 0 elsewhere; column 0
+            # anchors itself.  The running maximum is the last fixed step's
+            # code, so the anchor is its upper bits and its value the lowest.
+            code = codes[: rows.shape[0]]
+            np.multiply(k2, out | (rows >= hi), out=code)
+            code |= out
+            np.maximum.accumulate(code, axis=1, out=code)
+            np.bitwise_and(code, 1, out=out, casting="unsafe")
             if a < nb:
-                np.subtract(k, anchor, out=anchor)
-                anchor &= 1
-                np.bitwise_xor(word, anchor, out=word, casting="unsafe")
-            out[...] = word
+                # Flip by the parity of k - anchor, the lowest bit of k ^ anchor.
+                code ^= k2
+                code >>= 1
+                np.bitwise_xor(out, code, out=out, casting="unsafe")
+                out &= 1
     return words

@@ -23,13 +23,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import ChannelParams, sample_chain, sample_chain_batch, stationary_probability
-from .pdm import NotPositiveDefiniteError, PDMatrix, distances_to, not_positive_definite
+from .pdm import _CHUNK, NotPositiveDefiniteError, PDMatrix, distances_to, not_positive_definite
 from .plant import (
     ModifiedPlant,
     NominalPlant,
     _advance,
     _branch_blocks,
     _walk,
+    _walk_pieces,
     build_modified_plant,
 )
 from .riccati import orbit_distances, solve_dare
@@ -41,13 +42,15 @@ SIMULATE_CHAIN_STREAM = (1 << 48) + 1
 SIMULATE_NOISE_STREAM = (1 << 48) + 2
 
 # Steps per row of the parallel-in-time ergodic grid, the steps each row
-# runs before its seam to forget its start, the most steps of a 2x2 word
-# that the ergodic run walks in plain floats instead, and the fewest
-# arrivals per _WARMUP steps, on the word's mean, for which a longer 2x2
-# word takes the grid (see run_ergodic).  They set the run's speed only,
-# never its output.
+# runs before its seam to forget its start, the stored states each row
+# keeps for its seam check and for the early stop of its walk, the most
+# steps of a 2x2 word that the ergodic run walks in plain floats instead,
+# and the fewest arrivals per _WARMUP steps, on the word's mean, for which
+# a longer 2x2 word takes the grid (see run_ergodic).  They set the run's
+# speed and memory only, never its output.
 _SEGMENT = 250
 _WARMUP = 350
+_KEPT = 64
 _WALK_STEPS = 100_000
 _GRID_ARRIVALS = 64
 
@@ -239,8 +242,9 @@ def run_empirical(
         bad = np.flatnonzero(not_positive_definite(p))
         trial = int(bad[0])
         path = _walk(blocks, p0, words[trial, 1:])
+        step = int(np.flatnonzero(not_positive_definite(path))[0])
         raise NotPositiveDefiniteError(
-            f"empirical trial {trial}: {_breakdown(path, words[trial])}; "
+            f"empirical trial {trial}: {_breakdown(step, words[trial])}; "
             f"{bad.size} of {cfg.trials} trials end not positive definite"
         )
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
@@ -250,17 +254,18 @@ def _checked_distances(p_star: PDMatrix, mats: np.ndarray) -> np.ndarray | None:
     """Decimal-log distances of ``mats`` to ``p_star``, or None when they
     fail because a matrix of the stack breaks ``PDMatrix``'s rules."""
     try:
-        return distances_to(p_star, mats) / LN10
+        samples = distances_to(p_star, mats)
     except NotPositiveDefiniteError:
         if not_positive_definite(mats).any():
             return None
         raise
+    samples /= LN10
+    return samples
 
 
-def _breakdown(path: np.ndarray, word: np.ndarray) -> str:
-    """Name the first step of ``path`` that fails ``PDMatrix``'s rules and
-    the drop run of ``word`` ending there."""
-    step = int(np.flatnonzero(not_positive_definite(path))[0])
+def _breakdown(step: int, word: np.ndarray) -> str:
+    """Name the PCM at ``step``, the first that fails ``PDMatrix``'s rules,
+    and the drop run of ``word`` ending there."""
     arrivals = np.flatnonzero(word[1 : step + 1])
     drops = step - 1 - int(arrivals[-1]) if arrivals.size else step
     return f"the PCM at step {step} is not positive definite, after {drops} consecutive drops"
@@ -276,48 +281,60 @@ def run_ergodic(
     makes time averages converge to the stationary law.  Samples include the
     initial step, so ``horizon + 1`` distances are returned.
 
-    The path is bit-identical to applying the branch maps one step after
-    another, and it is built one of two ways, chosen by the input word
+    The samples are the decimal-log distances of the path that applies the
+    branch maps one step after another, bit for bit.  Each PCM is measured
+    as the path is built, a few thousand states at a time, and then
+    dropped: the run holds the samples (8 bytes a step), the grid's
+    ``_KEPT`` stored states per row (below) and block-sized scratch, not
+    the path.  The path is built one of two ways, chosen by the input word
     alone.  A 2x2 word of at most ``_WALK_STEPS`` steps (the desk tables
-    and the full-scale run) is walked in Python floats by ``plant._walk``:
-    on a word that short, numpy call overhead, not arithmetic, is the cost
-    of any batched evaluation.  So is a longer 2x2 word whose mean arrivals
-    over ``_WARMUP`` steps fall below ``_GRID_ARRIVALS``: the recursion
-    forgets its start through arrivals, so on such a word most grid rows
-    fail their seam check (below) and are walked anyway.  Other words and
-    sizes are evaluated parallel in time on a grid of rows, whose overhead
-    is then spread over hundreds of rows, and then checked.
+    and the full-scale run) is walked in Python floats by
+    ``plant._walk_pieces``: on a word that short, numpy call overhead, not
+    arithmetic, is the cost of any batched evaluation.  So is a longer 2x2
+    word whose mean arrivals over ``_WARMUP`` steps fall below
+    ``_GRID_ARRIVALS``: the recursion forgets its start through arrivals,
+    so on such a word most grid rows fail their seam check (below) and are
+    walked anyway.  Other words and sizes are evaluated parallel in time on
+    a grid of rows, whose overhead is then spread over hundreds of rows,
+    and then checked.
 
     The grid cuts the word, padded with arrivals to whole rows, into rows
     of ``_SEGMENT`` steps; row ``j`` owns the steps after its seam, step
     ``j * _SEGMENT``.  One batched pass starts every row from the fixed
     point ``_WARMUP`` steps before its seam (arrivals stand in for the
     steps before step 0), runs the warm-up without storing it, and then
-    stores the row's own steps in the path.  The recursion forgets its
-    start, and in floating point the forgetting is exact: two runs driven
-    by the same word become bit-identical after some hundreds of steps and
-    stay so.  So most rows are already exact at their seam.
+    runs the rows' own steps in column blocks of about ``pdm._CHUNK``
+    states, measuring each block.  Of the stored states it keeps each row's
+    first ``_KEPT`` and its last.  The recursion forgets its start, and in
+    floating point the forgetting is exact: two runs driven by the same
+    word become bit-identical after some hundreds of steps and stay so.  So
+    most rows are already exact at their seam.
 
     One batched step from every seam state, as stored (the fixed point for
     row 0, the last stored state of row ``j - 1`` for row ``j``), is then
     compared, as bits, with each row's first stored state.  The rows are
     taken in order.  Row ``j`` is left as stored when its check passed and
-    row ``j - 1`` was not walked to its end; otherwise ``plant._walk`` walks
-    it from the exact state at its seam and stops at the first step whose
-    state equals, bit for bit, the value stored there, or at the row's end.
-    The maps are deterministic functions of their input bits (batched and
-    single calls agree bit for bit), so by induction from ``path[0]``, the
-    fixed point itself, every seam and every row is the exact path, inf
-    included.  A NaN keeps its place but not always its sign and payload
-    bits, which numpy picks by array length (see :mod:`pcmlab.plant`); a
-    path holding one fails its distances either way.  ``_SEGMENT``,
-    ``_WARMUP``, ``_WALK_STEPS`` and ``_GRID_ARRIVALS`` change the speed
-    only, never the result.
+    row ``j - 1`` was not given a new last state; otherwise
+    ``plant._walk`` walks it from the exact state at its seam, stops at the
+    first step whose state equals, bit for bit, the one kept there, and
+    measures the states it walked.  A walk that meets none of the kept
+    states goes on to the row's end; its last state, when its bits differ
+    from the stored one, is the new seam of row ``j + 1``.  The maps are
+    deterministic functions of their input bits (batched and single calls
+    agree bit for bit), so by induction from the fixed point every seam
+    and every row is the exact path, inf included.  A NaN keeps its place
+    but not always its sign and payload bits, which numpy picks by array
+    length (see :mod:`pcmlab.plant`); a path holding one fails its
+    distances either way.  ``_SEGMENT``, ``_WARMUP``, ``_KEPT``,
+    ``_WALK_STEPS`` and ``_GRID_ARRIVALS`` change the speed and memory
+    only, never the result.  The 2x2 distance is an elementwise closed
+    form, so a sample has the same bits whichever block measured it.
 
     On the moderate config at 200k steps, 117 of the 800 rows are walked,
-    11,251 steps in all, and the grid takes about 0.16 s in process, where
-    the former grid (one batched pass from the fixed point at every seam,
-    then a walk in every 1000-step segment) walked 49,578 steps in 0.28 s.
+    16,684 steps in all: 61 walks meet none of their row's 64 kept states
+    and go on to the row's end (keeping whole rows, they walked 11,251
+    steps).  The former grid (one batched pass from the fixed point at
+    every seam, then a walk in every 1000-step segment) walked 49,578.
     Under heavy loss most rows do not meet the true path within their
     warm-up (759 of 800 rows on the heavy config at 200k steps, about 28
     arrivals per warm-up), and the grid takes longer than the walk.  On the
@@ -329,74 +346,166 @@ def run_ergodic(
 
     A path whose distances fail because a PCM breaks ``PDMatrix``'s rules
     raises :class:`NotPositiveDefiniteError` naming the first such step and
-    the drop run ending there.
+    the drop run ending there; the word is then walked again to find it.
     """
+    samples = _ergodic_samples(cfg, prep)
+    return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
+
+
+def _ergodic_samples(cfg: ExperimentConfig, prep: PreparedPlant | None) -> np.ndarray:
+    """The samples of :func:`run_ergodic`, without its histogram."""
     seed = cfg.require_seed()
     if prep is None:
         prep = prepare(cfg)
     length = cfg.effective_ergodic_length
     gamma_st = stationary_probability(cfg.channel)
     word = sample_chain(cfg.channel, gamma_st, length, seed, stream=ERGODIC_STREAM)
-    path = _ergodic_path(prep.mp, prep.p_star.entries, word)
-    samples = _checked_distances(prep.p_star, path)
-    if samples is None:
-        raise NotPositiveDefiniteError(f"ergodic run: {_breakdown(path, word)}")
-    return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
+    samples = _ergodic_path(prep.mp, prep.p_star.entries, word, _log_distances(prep.p_star))
+    if np.isnan(samples).any():
+        samples = _replayed_samples(_branch_blocks(prep.mp), prep.p_star, word)
+    return samples
 
 
-def _ergodic_path(mp: ModifiedPlant, p_star: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """PCM path driven by ``word[1:]`` from ``p_star``: ``path[0] = p_star``
-    and ``path[k]`` is the branch map of ``word[k]`` applied to
-    ``path[k - 1]``.  A 2x2 word of at most ``_WALK_STEPS`` steps, or with
-    fewer than ``_GRID_ARRIVALS`` arrivals per ``_WARMUP`` steps on its
-    mean, is walked one step after another, any other on the segment grid;
-    see :func:`run_ergodic`."""
+def _log_distances(p_star: PDMatrix):
+    """The per-state measurement of the ergodic run: decimal-log distances
+    to ``p_star``, or NaN for every state of a stack whose distances fail.
+    The grid measures stored states that a walk may replace, so a failure
+    is settled by :func:`_replayed_samples` on the exact path."""
+
+    def measure(mats: np.ndarray) -> np.ndarray:
+        try:
+            samples = distances_to(p_star, mats)
+        except NotPositiveDefiniteError:
+            return np.full(mats.shape[0], np.nan)
+        samples /= LN10
+        return samples
+
+    return measure
+
+
+def _replayed_samples(blocks, p_star: PDMatrix, word: np.ndarray) -> np.ndarray:
+    """Walk ``word`` again from ``p_star``, one piece of ``_CHUNK`` steps at
+    a time, and return the decimal-log distances of the path, as
+    :func:`_checked_distances` of the whole path would: when a distance
+    fails, the first PCM that breaks ``PDMatrix``'s rules is named, or,
+    when none does, the distance's own error is raised."""
+    samples = np.empty(word.size)
+    first_bad = error = None
+    lo = 0
+    for piece in _walk_pieces(blocks, p_star.entries, word[1:], _CHUNK):
+        if first_bad is None:
+            bad = np.flatnonzero(not_positive_definite(piece))
+            if bad.size:
+                first_bad = lo + int(bad[0])
+        if error is None:
+            try:
+                samples[lo : lo + len(piece)] = distances_to(p_star, piece)
+            except NotPositiveDefiniteError as exc:
+                error = exc
+        if error is not None and first_bad is not None:
+            raise NotPositiveDefiniteError(f"ergodic run: {_breakdown(first_bad, word)}")
+        lo += len(piece) - 1
+    if error is not None:
+        raise error
+    samples /= LN10
+    return samples
+
+
+def _states(mats: np.ndarray) -> np.ndarray:
+    """The measurement that keeps every state: the path itself."""
+    return mats
+
+
+def _ergodic_path(mp: ModifiedPlant, p_star: np.ndarray, word: np.ndarray,
+                  measure=_states) -> np.ndarray:
+    """``measure`` of every state of the PCM path driven by ``word[1:]``
+    from ``p_star``: ``path[0] = p_star`` and ``path[k]`` is the branch map
+    of ``word[k]`` applied to ``path[k - 1]``.  ``measure`` maps a stack of
+    states to one measurement each, along the first axis; by default the
+    states themselves, so the result is the path.  A 2x2 word of at most
+    ``_WALK_STEPS`` steps, or with fewer than ``_GRID_ARRIVALS`` arrivals
+    per ``_WARMUP`` steps on its mean, is walked one step after another,
+    any other on the segment grid; see :func:`run_ergodic`."""
     blocks = _branch_blocks(mp)
     bits = word[1:]
     sparse = np.count_nonzero(bits) * _WARMUP < _GRID_ARRIVALS * bits.size
     if p_star.shape[0] == 2 and (bits.size <= _WALK_STEPS or sparse):
-        return _walk(blocks, p_star, bits)
-    return _segment_grid(blocks, p_star, bits)[0]
+        out = _measured_start(measure, p_star, bits.size + 1)
+        lo = 1
+        for piece in _walk_pieces(blocks, p_star, bits, _CHUNK):
+            out[lo : lo + len(piece) - 1] = measure(piece[1:])
+            lo += len(piece) - 1
+        return out
+    return _segment_grid(blocks, p_star, bits, measure)[0]
 
 
-def _segment_grid(blocks, p_star: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The path of :func:`_ergodic_path` over ``bits`` (the word after its
-    first symbol), evaluated parallel in time on a grid of warm-started
-    ``_SEGMENT``-step rows, checked at every seam in one batch and made
-    exact by walking only the rows that need it, and the steps walked in
-    each row; see :func:`run_ergodic` for why it is exact."""
+def _measured_start(measure, p_star: np.ndarray, size: int) -> np.ndarray:
+    """An array for ``size`` measurements of ``measure``, the first of them
+    that of ``p_star``."""
+    first = measure(p_star[None])
+    out = np.empty((size,) + first.shape[1:], first.dtype)
+    out[0] = first[0]
+    return out
+
+
+def _segment_grid(blocks, p_star: np.ndarray, bits: np.ndarray,
+                  measure=_states) -> tuple[np.ndarray, np.ndarray]:
+    """``measure`` of the path of :func:`_ergodic_path` over ``bits`` (the
+    word after its first symbol), evaluated parallel in time on a grid of
+    warm-started ``_SEGMENT``-step rows, checked at every seam in one batch
+    and made exact by walking only the rows that need it, and the steps
+    walked in each row; see :func:`run_ergodic` for why it is exact."""
     length = bits.size
     n = p_star.shape[0]
     count = -(-length // _SEGMENT)
+    kept = min(_KEPT, _SEGMENT)
     # Row j reads the _WARMUP steps before its seam, then its own steps; the
     # word is padded with arrivals before its start and after its end.
     padded = np.ones(_WARMUP + count * _SEGMENT, dtype=bits.dtype)
     padded[_WARMUP : _WARMUP + length] = bits
-    rows = sliding_window_view(padded, _WARMUP + _SEGMENT)[::_SEGMENT]
-    own = padded[_WARMUP:]
-    path = np.empty((count * _SEGMENT + 1, n, n))
-    path[0] = p_star
-    grid = path[1:].reshape(count, _SEGMENT, n, n)
+    window = sliding_window_view(padded, _WARMUP + _SEGMENT)[::_SEGMENT]
+    rows = window[:, _WARMUP:]
+    out = _measured_start(measure, p_star, count * _SEGMENT + 1)
+    grid = out[1:].reshape((count, _SEGMENT) + out.shape[1:])
     state = np.broadcast_to(p_star, (count, n, n)).copy()
-    _advance(blocks, state, rows[:, :_WARMUP])
-    _advance(blocks, state, rows[:, _WARMUP:], grid)
-    # One step from every seam state, as stored, against each row's first
-    # stored state, compared as bits.
-    seams = path[:-1:_SEGMENT].copy()
-    _advance(blocks, seams, rows[:, _WARMUP : _WARMUP + 1])
-    met = (seams.view(np.uint64) == grid[:, 0].view(np.uint64)).reshape(count, -1).all(axis=1)
+    _advance(blocks, state, window[:, :_WARMUP])
+    head = np.empty((count, kept, n, n))
+    width = max(1, _CHUNK // count)
+    for lo in range(0, _SEGMENT, width):
+        hi = min(lo + width, _SEGMENT)
+        block = np.empty((count, hi - lo, n, n))
+        _advance(blocks, state, rows[:, lo:hi], block)
+        if lo < kept:
+            head[:, lo : min(hi, kept)] = block[:, : kept - lo]
+        grid[:, lo:hi] = measure(block.reshape(-1, n, n)).reshape(grid[:, lo:hi].shape)
+    # state now holds each row's last stored state.  One step from every
+    # seam state, as stored, against each row's first stored state,
+    # compared as bits.
+    seams = np.concatenate([p_star[None], state[:-1]])
+    _advance(blocks, seams, rows[:, :1])
+    met = (seams.view(np.uint64) == head[:, 0].view(np.uint64)).reshape(count, -1).all(axis=1)
     walked = np.zeros(count, dtype=np.int64)
+    # Walked rows and their states, measured together about _CHUNK at a time.
+    waiting, states, queued = [], [], 0
     replaced = False
     for j in range(count):
-        if met[j] and not replaced:
-            continue
-        seam, end = j * _SEGMENT, (j + 1) * _SEGMENT
-        exact = _walk(blocks, path[seam], own[seam:end], path[seam + 1 : end + 1])
-        path[seam : seam + len(exact)] = exact
-        walked[j] = len(exact) - 1
-        # A walk to the row's end may have written a new seam for the next row.
-        replaced = walked[j] == _SEGMENT
-    return path[: length + 1], walked
+        if replaced or not met[j]:
+            start = p_star if j == 0 else state[j - 1]
+            exact = _walk(blocks, start, rows[j], head[j])
+            walked[j] = len(exact) - 1
+            waiting.append(j)
+            states.append(exact[1:])
+            queued += walked[j]
+            # A walk to the row's end may have written a new seam for the next row.
+            replaced = walked[j] == _SEGMENT and exact[-1].tobytes() != state[j].tobytes()
+            if replaced:
+                state[j] = exact[-1]
+        if queued and (queued >= _CHUNK or j == count - 1):
+            values = measure(np.concatenate(states))
+            for i, part in zip(waiting, np.split(values, np.cumsum(walked[waiting])[:-1])):
+                grid[i, : walked[i]] = part
+            waiting, states, queued = [], [], 0
+    return out[: length + 1], walked
 
 
 def cluster_intervals(distances: np.ndarray, n_s: int) -> list:
@@ -454,7 +563,7 @@ def compare_table(cfg: ExperimentConfig, prep: PreparedPlant | None = None) -> C
     delta = delta_distribution(prep.mp, prep.p_star, gamma_st, cfg.n_d)
     return ClusterTable(prep.ladder, {
         "delta": (delta.masses(), delta.residual_mass),
-        "ergodic": cluster_probabilities(run_ergodic(cfg, prep)[0], prep.ladder, cfg.n_s),
+        "ergodic": cluster_probabilities(_ergodic_samples(cfg, prep), prep.ladder, cfg.n_s),
         "empirical": cluster_probabilities(run_empirical(cfg, prep)[0], prep.ladder, cfg.n_s),
     })
 
@@ -482,7 +591,7 @@ def rate_study(
         raise ValueError("checkpoints cannot exceed the trajectory length")
     if prep is None:
         prep = prepare(cfg)
-    samples, _ = run_ergodic(cfg, prep)
+    samples = _ergodic_samples(cfg, prep)
     grid = np.array([hi for (_, hi, _) in cluster_intervals(prep.ladder, cfg.n_s)])
     # Sample k lies at or below grid[i] exactly when i >= first[k] (the grid
     # ascends), so a prefix sum of the counts of ``first`` counts each point.

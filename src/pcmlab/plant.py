@@ -12,11 +12,13 @@ the two branch maps to stacks of PCMs: the empirical trials, the ergodic
 segment grid and the reachable-set enumeration all step through it.  Its
 one-matrix companion, :func:`_walk`, moves a single PCM along one word and
 returns the path: a 2x2 PCM in Python floats through the same closed-form
-maps, anything else through ``_advance`` on a one-row stack.  It serves
-the shorter ergodic paths, the grid rows of the longer ones that fail their
-seam check (where it stops as soon as it meets a known path) and the
-replay of a broken-down empirical trial, where a numpy call per step would
-cost far more than the arithmetic.
+maps, anything else through ``_advance`` on a one-row stack.
+:func:`_walk_pieces` yields the same path a few thousand states at a time,
+so a caller can measure each piece and drop it.  They serve the shorter
+ergodic paths, the grid rows of the longer ones that fail their seam check
+(where the walk stops as soon as it meets a known path) and the replay of
+a broken-down empirical trial or ergodic run, where a numpy call per step
+would cost far more than the arithmetic.
 
 The kernel holds one state per matrix size.  For ``n = 2`` it is the three
 contiguous entry planes ``p00, p01, p11`` of the symmetric stack, and the
@@ -390,58 +392,89 @@ def _walk(blocks, p: np.ndarray, bits: np.ndarray, known: np.ndarray | None = No
     ``path[k]`` the branch map of ``bits[k - 1]`` applied to
     ``path[k - 1]``.  ``blocks`` is ``_branch_blocks(mp)``.
 
-    ``known``, when given, is a stack shaped like ``path[1:]``: the path
-    over the same bits from some other start.  The walk then stops after
-    the first step ``k`` whose state equals ``known[k - 1]`` bit for bit and
-    returns ``path[: k + 1]``.  The maps are deterministic functions of
-    their input bits, so from that step on ``known`` holds the exact path.
-    A walk that never meets ``known`` returns the whole path.
+    ``known``, when given, is a stack of states: the path over the same
+    bits from some other start, ``known[k - 1]`` after step ``k``, for the
+    first ``len(known)`` steps at most.  The walk then stops after the first
+    step ``k`` whose state equals ``known[k - 1]`` bit for bit and returns
+    ``path[: k + 1]``.  The maps are deterministic functions of their input
+    bits, so from that step on the other start's path is the exact one.  A
+    walk that does not meet ``known`` returns the whole path.
+
+    The one piece of :func:`_walk_pieces` as long as the word.
+    """
+    return next(_walk_pieces(blocks, p, bits, bits.size, known))
+
+
+def _walk_pieces(blocks, p: np.ndarray, bits: np.ndarray, size: int,
+                 known: np.ndarray | None = None):
+    """Yield the path of :func:`_walk` in consecutive pieces of at most
+    ``size + 1`` states, each starting with the last state of the piece
+    before it (``p`` for the first): a word of no bits yields ``p`` alone.
+    Each piece is a view of one buffer that the next piece overwrites.
+    ``known`` stops the walk as in :func:`_walk`; the piece holding the
+    matching state is then the last.
 
     A 2x2 PCM is walked in Python floats through ``_gamma0_planes`` /
     ``_gamma1_planes``, which use only ``+ - * /`` and so give the bits of
-    the numpy planes; each step is written straight into the path.  For one
-    matrix a step then costs about as much as two numpy calls, where the
+    the numpy planes; each step is written straight into the buffer.  For
+    one matrix a step then costs about as much as two numpy calls, where the
     plane maps make 29 (open loop) or 60 (measurement).  Any other size,
     and the rest of a word after a step whose determinant is exactly 0.0
     (Python raises where numpy gives inf or NaN), step through ``_advance``
-    on a one-row stack.
+    on a one-row stack, in every later piece too.
     """
     n = p.shape[-1]
-    path = np.empty((bits.size + 1, n, n))
-    path[0] = p
-    done = 0
-    if n == 2:
+    buf = np.empty((min(size, bits.size) + 1, n, n))
+    buf[0] = p
+    matched = 0 if known is None else len(known)
+    floats = n == 2
+    if floats:
         a0, w0, a1, w1, k1 = blocks
         coef0, coef1 = _coefficients(a0, w0), _coefficients(a1, w1, k1)
-        flat = memoryview(path.reshape(-1))
+        flat = memoryview(buf.reshape(-1))
         # The same entries as integers, so that a match is a match of bits.
-        got = memoryview(path.reshape(-1).view(np.uint64))
+        got = memoryview(buf.reshape(-1).view(np.uint64))
         want = None if known is None else memoryview(known.reshape(-1).view(np.uint64))
         x00, x01, x11 = p[0, 0].item(), p[0, 1].item(), p[1, 1].item()
-        for bit in bits.tolist():
-            try:
-                if bit:
-                    x00, x01, x11 = _gamma1_planes(coef1, x00, x01, x11)
-                else:
-                    x00, x01, x11 = _gamma0_planes(coef0, x00, x01, x11)
-            except ZeroDivisionError:
-                break
-            done += 1
-            i = 4 * done
-            flat[i] = x00
-            flat[i + 1] = x01
-            flat[i + 2] = x01
-            flat[i + 3] = x11
-            if want is not None and got[i] == want[i - 4] and got[i : i + 4] == want[i - 4 : i]:
-                return path[: done + 1]
-    while done < bits.size:
-        state = path[done : done + 1].copy()
-        _advance(blocks, state, bits[None, done : done + 1])
-        done += 1
-        path[done] = state[0]
-        if known is not None and path[done].tobytes() == known[done - 1].tobytes():
-            return path[: done + 1]
-    return path
+    first = 0  # steps taken before the current piece
+    while True:
+        stop = min(first + size, bits.size)
+        k = 0  # steps taken in the current piece
+        limit = matched - first  # steps of the current piece that known covers
+        if floats:
+            for bit in bits[first:stop].tolist():
+                try:
+                    if bit:
+                        x00, x01, x11 = _gamma1_planes(coef1, x00, x01, x11)
+                    else:
+                        x00, x01, x11 = _gamma0_planes(coef0, x00, x01, x11)
+                except ZeroDivisionError:
+                    floats = False
+                    break
+                k += 1
+                i = 4 * k
+                flat[i] = x00
+                flat[i + 1] = x01
+                flat[i + 2] = x01
+                flat[i + 3] = x11
+                if k <= limit:
+                    j = i + 4 * (first - 1)
+                    if got[i] == want[j] and got[i : i + 4] == want[j : j + 4]:
+                        yield buf[: k + 1]
+                        return
+        while first + k < stop:
+            state = buf[k : k + 1].copy()
+            _advance(blocks, state, bits[None, first + k : first + k + 1])
+            k += 1
+            buf[k] = state[0]
+            if k <= limit and buf[k].tobytes() == known[first + k - 1].tobytes():
+                yield buf[: k + 1]
+                return
+        yield buf[: k + 1]
+        first = stop
+        if first == bits.size:
+            return
+        buf[0] = buf[k]
 
 
 @dataclass(frozen=True)

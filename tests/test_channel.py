@@ -125,13 +125,15 @@ class TestSampleChain:
 
     @pytest.mark.parametrize("alpha, beta", [(0.8, 0.3), (0.2, 0.3)])
     def test_lengths_across_the_anchor_dtype_switch(self, alpha, beta):
-        # Anchors are held as uint16 up to length 65535 and as uint32 from
-        # 65536 on; one and two rows at the lengths on both sides.
-        # At 65536 only the last step would suffer from too narrow a type,
-        # so eight rows are checked there.
+        # Anchors are packed as 2k + value, held as uint8 up to length 127,
+        # uint16 up to 32767 and uint32 from 32768 on; one and two rows at
+        # the lengths on both sides of each switch, and around 65536, where
+        # bare step indices used to switch.  Only the last steps would suffer
+        # from too narrow a type, so eight rows are checked at the first
+        # length of each wider type.
         params = ChannelParams(alpha, beta)
-        for length in range(65533, 65537):
-            rows = 8 if length == 65536 else 2
+        for length in (127, 128, 32767, 32768, *range(65533, 65537)):
+            rows = 8 if length in (128, 32768, 65536) else 2
             want = [step_loop_chain(params, 0.35, length, 11, 40 + i) for i in range(rows)]
             for n_chains in sorted({1, 2, rows}):
                 batch = sample_chain_batch(params, 0.35, length, 11, n_chains, 40)

@@ -17,6 +17,8 @@ from pcmlab.experiments import (
     LN10,
     NonFiniteSampleError,
     _ergodic_path,
+    _log_distances,
+    _replayed_samples,
     _segment_grid,
     cluster_intervals,
     cluster_probabilities,
@@ -29,7 +31,7 @@ from pcmlab.experiments import (
     run_ergodic,
 )
 from pcmlab.pdm import NotPositiveDefiniteError, PDMatrix, not_positive_definite
-from pcmlab.plant import _advance, _branch_blocks, _walk
+from pcmlab.plant import _advance, _branch_blocks, _walk, _walk_pieces
 from pcmlab.stationary import delta_distribution
 
 from conftest import random_plant
@@ -191,6 +193,17 @@ class TestErgodic:
         samples, _ = run_ergodic(ref_cfg, ref_prep)
         assert samples[0] <= 1e-12
 
+    def test_million_step_traced_memory_peak(self):
+        # A million steps on moderate loss: the sampler pass peaks at 19.7 MB
+        # (8 bytes of uniforms a step), and after it the run holds the
+        # samples (8 MB) with the grid's kept states (8.2 MB), then the
+        # histogram's 17 MB of temporaries: a traced peak of 25.1 MB.
+        # Holding the path took it to 58.1 MB; the bound is half of that.
+        cfg = replace(load_config(CONFIGS / "paper_section5_moderate.json"),
+                      ergodic_length=1_000_000)
+        prep = prepare(cfg)
+        assert traced_peak(lambda: run_ergodic(cfg, prep)) <= 29_000_000
+
     def test_moderate_loss_markov_pattern_oracle(self, ref_plant):
         # Under the genuine two-state chain the first-orbit cluster mass is
         # the stationary (arrival, drop) pattern probability pi1 * (1 - alpha),
@@ -207,6 +220,16 @@ class TestErgodic:
         assert fracs[0] == pytest.approx(pi1, abs=0.01)
         assert fracs[1] == pytest.approx(pi1 * (1 - alpha), abs=0.01)
         assert fracs[2] == pytest.approx(pi1 * (1 - alpha) * beta, abs=0.005)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sequential_ergodic(cfg, prep):
@@ -231,11 +254,17 @@ def sequential_path(cfg, prep):
 
 
 def assert_segmented_exact(cfg, prep):
-    """The segment grid's path and the run's samples equal the oracle's bit
-    for bit; returns the steps walked in each row."""
+    """The segment grid's path, the distances it measures as it builds the
+    path and the run's samples equal the oracle's bit for bit; returns the
+    steps walked in each row."""
     word, path, samples = sequential_ergodic(cfg, prep)
-    grid, walked = _segment_grid(_branch_blocks(prep.mp), prep.p_star.entries, word[1:])
+    blocks = _branch_blocks(prep.mp)
+    grid, walked = _segment_grid(blocks, prep.p_star.entries, word[1:])
     assert grid.tobytes() == path.tobytes()
+    measured, again = _segment_grid(blocks, prep.p_star.entries, word[1:],
+                                    _log_distances(prep.p_star))
+    assert measured.tobytes() == samples.tobytes()
+    assert again.tobytes() == walked.tobytes()
     assert run_ergodic(cfg, prep)[0].tobytes() == samples.tobytes()
     # A row whose seam check passed is not walked; any other walks at least
     # the step that meets (or replaces) its stored value.
@@ -249,6 +278,28 @@ def assert_walked_exact(cfg, prep):
     walked = _ergodic_path(prep.mp, prep.p_star.entries, word)
     assert walked.tobytes() == path.tobytes()
     return walked
+
+
+def first_meets(cfg, prep):
+    """For each row of the segment grid, the first of its steps at which the
+    warm-started pass (the fixed point ``_WARMUP`` steps before the row's
+    seam, arrivals before step 0) holds the exact path's bits, or None.
+    Both paths run over the word padded with arrivals to whole rows."""
+    segment, warmup = experiments._SEGMENT, experiments._WARMUP
+    length = cfg.effective_ergodic_length
+    word = sample_chain(cfg.channel, stationary_probability(cfg.channel), length,
+                        cfg.master_seed, stream=ERGODIC_STREAM)
+    count = -(-length // segment)
+    padded = np.ones(warmup + count * segment, np.uint8)
+    padded[warmup : warmup + length] = word[1:]
+    blocks, p_star = _branch_blocks(prep.mp), prep.p_star.entries
+    exact = _walk(blocks, p_star, padded[warmup:])[1:].reshape(count, segment, 2, 2)
+    meets = []
+    for j in range(count):
+        stored = _walk(blocks, p_star, padded[j * segment : (j + 1) * segment + warmup])
+        same = (stored[warmup + 1 :].view(np.uint64) == exact[j].view(np.uint64)).all(axis=(1, 2))
+        meets.append(int(np.argmax(same)) + 1 if same.any() else None)
+    return meets
 
 
 def spy(monkeypatch, name):
@@ -328,6 +379,26 @@ class TestSegmentedErgodic:
             walked = assert_segmented_exact(cfg, prep)
             assert (walked == segment).any()
 
+    @pytest.mark.parametrize("kept", [1, 2, experiments._SEGMENT + 1])
+    @pytest.mark.parametrize("fields", [{"ergodic_length": 500}, {"master_seed": 18}])
+    def test_exact_for_any_kept_states(self, monkeypatch, kept, fields):
+        # Each walked row stops at the first step where the exact path meets
+        # the stored one, when that step is among the _KEPT kept states, and
+        # otherwise walks to the row's end.  Both words hold a row that
+        # meets only after a step or two (row 0 of the 500-step word at 220).
+        monkeypatch.setattr(experiments, "_KEPT", kept)
+        cfg = replace(load_config(CONFIGS / "paper_section5_heavy.json"), **fields)
+        prep = prepare(cfg)
+        walked = assert_segmented_exact(cfg, prep)
+        meets = first_meets(cfg, prep)
+        late = [j for j, meet in enumerate(meets) if meet is not None and meet > 2]
+        assert late and (walked[late] > 2).all()
+        for steps, meet in zip(walked, meets):
+            if steps == 0:
+                assert meet == 1
+            else:
+                assert steps == (meet if meet is not None and meet <= kept else experiments._SEGMENT)
+
     def test_rounds_bounded_without_coalescence(self, tmp_path):
         # With a scaled by 8 the recursion forgets its start far more slowly:
         # no row meets the true path within its warm-up or its own steps, so
@@ -370,14 +441,15 @@ class TestWalk:
     def test_word_over_the_limit_takes_the_grid(self, monkeypatch, ref_cfg, ref_prep):
         limit = 2 * experiments._SEGMENT
         monkeypatch.setattr(experiments, "_WALK_STEPS", limit)
-        walk, grid = spy(monkeypatch, "_walk"), spy(monkeypatch, "_segment_grid")
+        route, grid = spy(monkeypatch, "_walk_pieces"), spy(monkeypatch, "_segment_grid")
+        walk = spy(monkeypatch, "_walk")
         assert_walked_exact(replace(ref_cfg, ergodic_length=limit), ref_prep)
-        assert (len(walk), len(grid)) == (1, 0)
+        assert (len(route), len(grid), len(walk)) == (1, 0, 0)
         assert_walked_exact(replace(ref_cfg, ergodic_length=limit + 1), ref_prep)
-        assert len(grid) == 1
+        assert (len(route), len(grid)) == (1, 1)
         # Past the limit the only walks are the grid's, each of one row
-        # against the values stored for it.
-        assert all(len(args) == 4 for args in walk[1:])
+        # against the states kept for it.
+        assert all(len(args) == 4 for args in walk)
 
     @pytest.mark.parametrize("name, route", [
         ("paper_section5.json", "_segment_grid"),
@@ -392,14 +464,19 @@ class TestWalk:
         word = sample_chain(cfg.channel, stationary_probability(cfg.channel),
                             200_000, cfg.master_seed, stream=ERGODIC_STREAM)
         want = _walk(_branch_blocks(prep.mp), prep.p_star.entries, word[1:])
-        walk, grid = spy(monkeypatch, "_walk"), spy(monkeypatch, "_segment_grid")
+        pieces, grid = spy(monkeypatch, "_walk_pieces"), spy(monkeypatch, "_segment_grid")
+        walk = spy(monkeypatch, "_walk")
         path = _ergodic_path(prep.mp, prep.p_star.entries, word)
         assert path.tobytes() == want.tobytes()
         if route == "_walk":
-            assert not grid and len(walk) == 1
+            assert not grid and not walk and len(pieces) == 1
         else:
-            # The grid's own walks each cover one row against its stored values.
-            assert len(grid) == 1 and all(len(args) == 4 for args in walk)
+            # The grid's own walks each cover one row against its kept states.
+            assert len(grid) == 1 and not pieces and all(len(args) == 4 for args in walk)
+        # Measured as it is built, block by block, the path keeps the bits
+        # of its distances taken all at once.
+        samples = _ergodic_path(prep.mp, prep.p_star.entries, word, _log_distances(prep.p_star))
+        assert samples.tobytes() == (distances_to(prep.p_star, want) / LN10).tobytes()
 
     def test_grid_arrivals_threshold(self, monkeypatch, ref_prep):
         # Past the walk limit a word walks exactly when its arrivals per
@@ -444,6 +521,20 @@ class TestWalk:
         got = _walk(blocks, p, bits)
         assert np.isfinite(got[:3]).all() and np.isnan(got[3:]).all()
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7])
+    def test_pieces_join_into_the_walk(self, size):
+        # The word of the test above: every piece after the hand-off to the
+        # kernel stays with the kernel.
+        blocks = (np.array([[1.1, 0.2], [0.0, 0.9]]), np.eye(2), np.zeros((2, 2)),
+                  np.eye(2), -np.eye(2))
+        bits = np.array([0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
+        p = np.array([[2.0, 0.5], [0.5, 1.0]])
+        pieces = [piece.copy() for piece in _walk_pieces(blocks, p, bits, size)]
+        assert all(len(piece) <= size + 1 for piece in pieces)
+        assert all(a[-1].tobytes() == b[0].tobytes() for a, b in zip(pieces, pieces[1:]))
+        joined = np.concatenate([pieces[0]] + [piece[1:] for piece in pieces[1:]])
+        assert joined.tobytes() == _walk(blocks, p, bits).tobytes()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_known_path_stops_at_the_first_bitwise_match(self, n):
@@ -512,6 +603,29 @@ class TestBreakdown:
             f"ergodic run: the PCM at step {step} is not positive definite, "
             f"after {consecutive_drops(word, step)} consecutive drops"
         )
+
+    def test_ergodic_grid_names_the_walks_step(self, monkeypatch, tmp_path):
+        # The grid measures stored states before it knows which rows are
+        # exact; a failed distance sends the run to walk the word again, so
+        # both routes name the same step.
+        cfg = overflow_config(tmp_path, ergodic_length=20_000)
+        prep = prepare(cfg)
+        with pytest.raises(NotPositiveDefiniteError) as walked:
+            run_ergodic(cfg, prep)
+        monkeypatch.setattr(experiments, "_WALK_STEPS", 0)
+        monkeypatch.setattr(experiments, "_GRID_ARRIVALS", 0)
+        grid = spy(monkeypatch, "_segment_grid")
+        with np.errstate(all="ignore"), pytest.raises(NotPositiveDefiniteError) as gridded:
+            run_ergodic(cfg, prep)
+        assert len(grid) == 1
+        assert str(gridded.value) == str(walked.value)
+
+    def test_replay_of_a_sound_word_returns_its_samples(self, ref_cfg, ref_prep):
+        word = sample_chain(ref_cfg.channel, stationary_probability(ref_cfg.channel),
+                            ref_cfg.effective_ergodic_length, ref_cfg.master_seed,
+                            stream=ERGODIC_STREAM)
+        got = _replayed_samples(_branch_blocks(ref_prep.mp), ref_prep.p_star, word)
+        assert got.tobytes() == run_ergodic(ref_cfg, ref_prep)[0].tobytes()
 
     def test_empirical_names_first_bad_trial_and_step(self, tmp_path):
         cfg = overflow_config(tmp_path, trials=60, horizon=400)
@@ -703,20 +817,15 @@ class TestRateStudy:
         assert max(ratios) / min(ratios) < 20
 
     def test_traced_memory_peak(self):
-        # The benchmark's rate run: 200k steps on moderate loss.  It holds
-        # the path (6.4 MB), the distances and their decimal-log copy
-        # (1.6 MB each) and chunk-sized temporaries: a traced peak of
-        # 12.4 MB.  Whitening and solving the whole path at once took it to
-        # about 21 MB; the bound sits between the two.
+        # The benchmark's rate run: 200k steps on moderate loss.  The path is
+        # measured as it is built, so the run holds the word (0.2 MB), the
+        # samples (1.6 MB), the grid's 64 kept states per row (1.6 MB) and
+        # block-sized scratch, after a sampler pass of 4.5 MB: a traced peak
+        # of 4.9-5.1 MB.  Holding the path took it to 12.3 MB.  The 0.9 MB
+        # margin is below the 1.6 MB of any whole-word float64 temporary.
         cfg = replace(load_config(CONFIGS / "paper_section5_moderate.json"), ergodic_length=200_000)
         prep = prepare(cfg)
-        tracemalloc.start()
-        try:
-            rate_study(cfg, [1_000, 10_000, 100_000], prep)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 15_000_000
+        assert traced_peak(lambda: rate_study(cfg, [1_000, 10_000, 100_000], prep)) < 6_000_000
 
     def test_checkpoints_validated(self, ref_cfg, ref_prep):
         with pytest.raises(ValueError, match="increasing"):

@@ -59,9 +59,9 @@ def test_stack_jobs_reach_the_branch_maps_only_through_the_kernel():
     # The stack representation and the branch maps are private to
     # pcmlab.plant; the Monte-Carlo runs and the enumeration step their
     # stacks through _advance, and the experiments walk one PCM's path
-    # through _walk.
+    # through _walk, or piece by piece through _walk_pieces.
     allowed = {
-        pcmlab.experiments: {"_advance", "_branch_blocks", "_walk"},
+        pcmlab.experiments: {"_advance", "_branch_blocks", "_walk", "_walk_pieces"},
         pcmlab.stationary: {"_advance", "_branch_blocks"},
     }
     for module, names in allowed.items():
