@@ -16,8 +16,8 @@ on whether the measurement arrived.  Two numeric paths evaluate those maps:
   ``_walk`` (piece by piece, ``_walk_pieces``) evaluates the same maps in
   Python floats, with the same bits, for the 2x2 ergodic paths of at most
   100k steps or with few arrivals (under heavy loss), the rows of the
-  segment grid that fail their seam check and the replay of a broken-down
-  empirical trial or ergodic run.
+  segment grid that fail their seam check and the search for the first
+  failing step of a broken-down empirical trial or ergodic run.
 
 The two paths agree to about 5e-15 per step but not bit for bit, so neither
 replaces the other silently.  That figure holds for PCMs at the scale of

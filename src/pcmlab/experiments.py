@@ -220,11 +220,13 @@ def run_empirical(
     distance of the final PCM to the fixed point.  Trials are evolved as one
     batched array; the result is deterministic in the config.
 
-    When the distances fail because a final PCM breaks ``PDMatrix``'s rules
-    (non-finite entries included), the first such trial is replayed alone
-    and :class:`NotPositiveDefiniteError` names it, the first step at which
-    it breaks the rules and the drop run ending there.  A run whose
-    distances succeed does no checking beyond them.
+    When the distances fail and a final PCM breaks ``PDMatrix``'s rules
+    (non-finite entries included), the first such trial is walked again
+    alone, up to the piece of ``pdm._CHUNK`` steps that holds its first
+    such step, and :class:`NotPositiveDefiniteError` names the trial, that
+    step and the drop run ending there; when no final PCM breaks the rules,
+    the distance's own error is raised.  A run whose distances succeed does
+    no checking beyond them.
     """
     seed = cfg.require_seed()
     if prep is None:
@@ -237,30 +239,33 @@ def run_empirical(
     p = np.broadcast_to(p0, (cfg.trials, n, n)).copy()
     # A breakdown lets inf/NaN through the loop; it is found after the run.
     _advance(blocks, p, words[:, 1:])
-    samples = _checked_distances(prep.p_star, p)
-    if samples is None:
+    try:
+        samples = distances_to(prep.p_star, p)
+    except NotPositiveDefiniteError:
         bad = np.flatnonzero(not_positive_definite(p))
+        if not bad.size:
+            raise
         trial = int(bad[0])
-        path = _walk(blocks, p0, words[trial, 1:])
-        step = int(np.flatnonzero(not_positive_definite(path))[0])
+        step = _first_breakdown(blocks, p0, words[trial, 1:])
         raise NotPositiveDefiniteError(
             f"empirical trial {trial}: {_breakdown(step, words[trial])}; "
             f"{bad.size} of {cfg.trials} trials end not positive definite"
-        )
+        ) from None
+    samples /= LN10
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
 
 
-def _checked_distances(p_star: PDMatrix, mats: np.ndarray) -> np.ndarray | None:
-    """Decimal-log distances of ``mats`` to ``p_star``, or None when they
-    fail because a matrix of the stack breaks ``PDMatrix``'s rules."""
-    try:
-        samples = distances_to(p_star, mats)
-    except NotPositiveDefiniteError:
-        if not_positive_definite(mats).any():
-            return None
-        raise
-    samples /= LN10
-    return samples
+def _first_breakdown(blocks, start: np.ndarray, bits: np.ndarray) -> int | None:
+    """The first step of the path of ``start`` over ``bits`` whose PCM
+    fails ``PDMatrix``'s rules, or None when none does.  The path is walked
+    in pieces of ``pdm._CHUNK`` steps, up to the piece holding that step."""
+    lo = 0
+    for piece in _walk_pieces(blocks, start, bits, _CHUNK):
+        bad = np.flatnonzero(not_positive_definite(piece))
+        if bad.size:
+            return lo + int(bad[0])
+        lo += len(piece) - 1
+    return None
 
 
 def _breakdown(step: int, word: np.ndarray) -> str:
@@ -344,9 +349,16 @@ def run_ergodic(
     The low (332) and moderate (272) configs take the grid, the heavy one
     (28) the walk.
 
-    A path whose distances fail because a PCM breaks ``PDMatrix``'s rules
-    raises :class:`NotPositiveDefiniteError` naming the first such step and
-    the drop run ending there; the word is then walked again to find it.
+    The distances are strict: the first that fails raises.  The grid
+    measures stored states that a walk may replace, so when the path's
+    measurement fails, the exact path is walked and measured once more,
+    piece by piece; a sound path then gives the run's samples.  When a
+    distance of the exact path fails too, the word is walked again up to
+    the piece of ``pdm._CHUNK`` steps that holds the first PCM that breaks
+    ``PDMatrix``'s rules, and :class:`NotPositiveDefiniteError` names that
+    step and the drop run ending there; when no PCM breaks the rules, the
+    distance's own error is raised.  No walk of a broken word goes past the
+    first piece whose measurement fails.
     """
     samples = _ergodic_samples(cfg, prep)
     return samples, make_histogram(samples, cfg.delta_max, cfg.n_e_bins)
@@ -360,53 +372,22 @@ def _ergodic_samples(cfg: ExperimentConfig, prep: PreparedPlant | None) -> np.nd
     length = cfg.effective_ergodic_length
     gamma_st = stationary_probability(cfg.channel)
     word = sample_chain(cfg.channel, gamma_st, length, seed, stream=ERGODIC_STREAM)
-    samples = _ergodic_path(prep.mp, prep.p_star.entries, word, _log_distances(prep.p_star))
-    if np.isnan(samples).any():
-        samples = _replayed_samples(_branch_blocks(prep.mp), prep.p_star, word)
-    return samples
-
-
-def _log_distances(p_star: PDMatrix):
-    """The per-state measurement of the ergodic run: decimal-log distances
-    to ``p_star``, or NaN for every state of a stack whose distances fail.
-    The grid measures stored states that a walk may replace, so a failure
-    is settled by :func:`_replayed_samples` on the exact path."""
+    p_star = prep.p_star.entries
 
     def measure(mats: np.ndarray) -> np.ndarray:
+        return distances_to(prep.p_star, mats)
+
+    try:
+        samples = _ergodic_path(prep.mp, p_star, word, measure)
+    except NotPositiveDefiniteError:
+        blocks = _branch_blocks(prep.mp)
         try:
-            samples = distances_to(p_star, mats)
+            samples = _walked(blocks, p_star, word[1:], measure)
         except NotPositiveDefiniteError:
-            return np.full(mats.shape[0], np.nan)
-        samples /= LN10
-        return samples
-
-    return measure
-
-
-def _replayed_samples(blocks, p_star: PDMatrix, word: np.ndarray) -> np.ndarray:
-    """Walk ``word`` again from ``p_star``, one piece of ``_CHUNK`` steps at
-    a time, and return the decimal-log distances of the path, as
-    :func:`_checked_distances` of the whole path would: when a distance
-    fails, the first PCM that breaks ``PDMatrix``'s rules is named, or,
-    when none does, the distance's own error is raised."""
-    samples = np.empty(word.size)
-    first_bad = error = None
-    lo = 0
-    for piece in _walk_pieces(blocks, p_star.entries, word[1:], _CHUNK):
-        if first_bad is None:
-            bad = np.flatnonzero(not_positive_definite(piece))
-            if bad.size:
-                first_bad = lo + int(bad[0])
-        if error is None:
-            try:
-                samples[lo : lo + len(piece)] = distances_to(p_star, piece)
-            except NotPositiveDefiniteError as exc:
-                error = exc
-        if error is not None and first_bad is not None:
-            raise NotPositiveDefiniteError(f"ergodic run: {_breakdown(first_bad, word)}")
-        lo += len(piece) - 1
-    if error is not None:
-        raise error
+            step = _first_breakdown(blocks, p_star, word[1:])
+            if step is None:
+                raise
+            raise NotPositiveDefiniteError(f"ergodic run: {_breakdown(step, word)}") from None
     samples /= LN10
     return samples
 
@@ -430,13 +411,20 @@ def _ergodic_path(mp: ModifiedPlant, p_star: np.ndarray, word: np.ndarray,
     bits = word[1:]
     sparse = np.count_nonzero(bits) * _WARMUP < _GRID_ARRIVALS * bits.size
     if p_star.shape[0] == 2 and (bits.size <= _WALK_STEPS or sparse):
-        out = _measured_start(measure, p_star, bits.size + 1)
-        lo = 1
-        for piece in _walk_pieces(blocks, p_star, bits, _CHUNK):
-            out[lo : lo + len(piece) - 1] = measure(piece[1:])
-            lo += len(piece) - 1
-        return out
+        return _walked(blocks, p_star, bits, measure)
     return _segment_grid(blocks, p_star, bits, measure)[0]
+
+
+def _walked(blocks, p_star: np.ndarray, bits: np.ndarray, measure) -> np.ndarray:
+    """``measure`` of every state of the path of :func:`_ergodic_path`,
+    walked step by step and measured a piece of ``pdm._CHUNK`` steps at a
+    time; a measurement that raises stops the walk at its piece."""
+    out = _measured_start(measure, p_star, bits.size + 1)
+    lo = 1
+    for piece in _walk_pieces(blocks, p_star, bits, _CHUNK):
+        out[lo : lo + len(piece) - 1] = measure(piece[1:])
+        lo += len(piece) - 1
+    return out
 
 
 def _measured_start(measure, p_star: np.ndarray, size: int) -> np.ndarray:

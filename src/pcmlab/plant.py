@@ -14,11 +14,12 @@ one-matrix companion, :func:`_walk`, moves a single PCM along one word and
 returns the path: a 2x2 PCM in Python floats through the same closed-form
 maps, anything else through ``_advance`` on a one-row stack.
 :func:`_walk_pieces` yields the same path a few thousand states at a time,
-so a caller can measure each piece and drop it.  They serve the shorter
-ergodic paths, the grid rows of the longer ones that fail their seam check
-(where the walk stops as soon as it meets a known path) and the replay of
-a broken-down empirical trial or ergodic run, where a numpy call per step
-would cost far more than the arithmetic.
+so a caller can measure each piece and drop it, or stop.  They serve the
+shorter ergodic paths, the grid rows of the longer ones that fail their
+seam check (where the walk stops as soon as it meets a known path) and the
+search for the first failing step of a broken-down empirical trial or
+ergodic run (which stops at the piece that holds it), where a numpy call
+per step would cost far more than the arithmetic.
 
 The kernel holds one state per matrix size.  For ``n = 2`` it is the three
 contiguous entry planes ``p00, p01, p11`` of the symmetric stack, and the

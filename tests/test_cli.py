@@ -182,6 +182,9 @@ class TestCommands:
     @pytest.mark.parametrize("command, message", [
         ("ergodic", "not positive definite"),
         ("empirical", "not positive definite"),
+        # rate and compare reach the ergodic samples without run_ergodic.
+        ("rate", "not positive definite"),
+        ("compare", "not positive definite"),
     ])
     def test_numerical_breakdown_exits_3(self, tmp_path, capsys, command, message):
         # Heavy loss with the transition scaled by 8: long drop runs blow the

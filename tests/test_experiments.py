@@ -17,8 +17,6 @@ from pcmlab.experiments import (
     LN10,
     NonFiniteSampleError,
     _ergodic_path,
-    _log_distances,
-    _replayed_samples,
     _segment_grid,
     cluster_intervals,
     cluster_probabilities,
@@ -232,6 +230,12 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
+def log_distances(p_star):
+    """The ergodic run's measurement in decimal-log units: the distances to
+    ``p_star`` of a stack of states."""
+    return lambda mats: distances_to(p_star, mats) / LN10
+
+
 def sequential_ergodic(cfg, prep):
     """Oracle: the step-by-step loop that the segmented run replaced."""
     word, path = sequential_path(cfg, prep)
@@ -262,7 +266,7 @@ def assert_segmented_exact(cfg, prep):
     grid, walked = _segment_grid(blocks, prep.p_star.entries, word[1:])
     assert grid.tobytes() == path.tobytes()
     measured, again = _segment_grid(blocks, prep.p_star.entries, word[1:],
-                                    _log_distances(prep.p_star))
+                                    log_distances(prep.p_star))
     assert measured.tobytes() == samples.tobytes()
     assert again.tobytes() == walked.tobytes()
     assert run_ergodic(cfg, prep)[0].tobytes() == samples.tobytes()
@@ -475,7 +479,7 @@ class TestWalk:
             assert len(grid) == 1 and not pieces and all(len(args) == 4 for args in walk)
         # Measured as it is built, block by block, the path keeps the bits
         # of its distances taken all at once.
-        samples = _ergodic_path(prep.mp, prep.p_star.entries, word, _log_distances(prep.p_star))
+        samples = _ergodic_path(prep.mp, prep.p_star.entries, word, log_distances(prep.p_star))
         assert samples.tobytes() == (distances_to(prep.p_star, want) / LN10).tobytes()
 
     def test_grid_arrivals_threshold(self, monkeypatch, ref_prep):
@@ -588,6 +592,43 @@ def consecutive_drops(word, step):
     return drops
 
 
+def failing_distances(monkeypatch, times=None):
+    """Make ``experiments.distances_to`` raise on its first ``times`` calls
+    (on every call when None); returns the list of its calls."""
+    real, calls = experiments.distances_to, []
+
+    def flaky(reference, mats):
+        calls.append(len(mats))
+        if times is None or len(calls) <= times:
+            raise NotPositiveDefiniteError("injected distance failure")
+        return real(reference, mats)
+
+    monkeypatch.setattr(experiments, "distances_to", flaky)
+    return calls
+
+
+def take_route(monkeypatch, route):
+    """Send every ergodic word to the segment grid when ``route`` is
+    "grid"; "walk" leaves the routes as they are."""
+    if route == "grid":
+        monkeypatch.setattr(experiments, "_WALK_STEPS", 0)
+        monkeypatch.setattr(experiments, "_GRID_ARRIVALS", 0)
+
+
+def piece_spy(monkeypatch):
+    """Replace ``experiments._walk_pieces`` by a generator that records the
+    length of each piece it yields."""
+    real, pieces = experiments._walk_pieces, []
+
+    def wrapper(*args):
+        for piece in real(*args):
+            pieces.append(len(piece))
+            yield piece
+
+    monkeypatch.setattr(experiments, "_walk_pieces", wrapper)
+    return pieces
+
+
 class TestBreakdown:
     def test_ergodic_names_first_bad_step(self, tmp_path):
         # The run fails where the PCM overflows (step 19 849); the step named
@@ -620,12 +661,53 @@ class TestBreakdown:
         assert len(grid) == 1
         assert str(gridded.value) == str(walked.value)
 
-    def test_replay_of_a_sound_word_returns_its_samples(self, ref_cfg, ref_prep):
-        word = sample_chain(ref_cfg.channel, stationary_probability(ref_cfg.channel),
-                            ref_cfg.effective_ergodic_length, ref_cfg.master_seed,
-                            stream=ERGODIC_STREAM)
-        got = _replayed_samples(_branch_blocks(ref_prep.mp), ref_prep.p_star, word)
-        assert got.tobytes() == run_ergodic(ref_cfg, ref_prep)[0].tobytes()
+    @pytest.mark.parametrize("route", ["walk", "grid"])
+    def test_a_distance_failing_once_leaves_the_samples(self, monkeypatch, ref_cfg, ref_prep,
+                                                        route):
+        # The first measurement fails as a stored state that a walk replaces
+        # would; the exact path, measured again, gives the sound run's bytes.
+        want = run_ergodic(ref_cfg, ref_prep)[0]
+        take_route(monkeypatch, route)
+        grid = spy(monkeypatch, "_segment_grid")
+        calls = failing_distances(monkeypatch, times=1)
+        assert run_ergodic(ref_cfg, ref_prep)[0].tobytes() == want.tobytes()
+        assert len(grid) == (route == "grid") and len(calls) > 1
+
+    @pytest.mark.parametrize("route", ["walk", "grid"])
+    def test_a_distance_always_failing_raises_its_error(self, monkeypatch, ref_cfg, ref_prep,
+                                                        route):
+        # No PCM of the sound path breaks PDMatrix's rules, so no step is
+        # named: the distance's own error is raised.
+        take_route(monkeypatch, route)
+        failing_distances(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError, match="^injected distance failure$"):
+            run_ergodic(ref_cfg, ref_prep)
+
+    def test_empirical_distance_always_failing_raises_its_error(self, monkeypatch, ref_cfg,
+                                                                ref_prep):
+        failing_distances(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError, match="^injected distance failure$"):
+            run_empirical(replace(ref_cfg, trials=50), ref_prep)
+
+    @pytest.mark.parametrize("route", ["walk", "grid"])
+    def test_breakdown_walk_stops_at_its_first_failing_piece(self, monkeypatch, route):
+        # A persistent channel on the desk plant overflows the PCM early in
+        # a 200k-step word; naming the step walks a few pieces of _CHUNK
+        # steps, not the word.
+        cfg = load_config(CONFIGS / "paper_section5.json")
+        cfg = replace(cfg, channel=ChannelParams(0.9, 0.995), ergodic_length=200_000)
+        prep = prepare(cfg)
+        take_route(monkeypatch, route)
+        grid = spy(monkeypatch, "_segment_grid")
+        pieces = piece_spy(monkeypatch)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            run_ergodic(cfg, prep)
+        assert str(err.value) == (
+            "ergodic run: the PCM at step 121 is not positive definite, "
+            "after 121 consecutive drops"
+        )
+        assert len(grid) == (route == "grid")
+        assert len(pieces) <= 3
 
     def test_empirical_names_first_bad_trial_and_step(self, tmp_path):
         cfg = overflow_config(tmp_path, trials=60, horizon=400)
