@@ -309,7 +309,7 @@ def _cmd_compare(cfg: ExperimentConfig, out_dir: Path, args) -> list:
 
 
 def _cmd_rate(cfg: ExperimentConfig, out_dir: Path, args) -> list:
-    if args.checkpoints:
+    if args.checkpoints is not None:
         checkpoints = []
         for tok in args.checkpoints.split(","):
             try:

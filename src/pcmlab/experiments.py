@@ -42,17 +42,15 @@ SIMULATE_CHAIN_STREAM = (1 << 48) + 1
 SIMULATE_NOISE_STREAM = (1 << 48) + 2
 
 # Steps per row of the parallel-in-time ergodic grid, the steps each row
-# runs before its seam to forget its start, the stored states each row
-# keeps for its seam check and for the early stop of its walk, the most
-# steps of a 2x2 word that the ergodic run walks in plain floats instead,
-# and the fewest arrivals per _WARMUP steps, on the word's mean, for which
-# a longer 2x2 word takes the grid (see run_ergodic).  They set the run's
-# speed and memory only, never its output.
+# runs before its seam to forget its start, the most steps of a 2x2 word
+# that the ergodic run walks in plain floats instead, and the fewest
+# arrivals per _WARMUP steps, on the word's mean, for which a longer 2x2
+# word takes the grid (see run_ergodic).  They set the run's speed and
+# memory only, never its output.
 _SEGMENT = 250
-_WARMUP = 350
-_KEPT = 64
+_WARMUP = 500
 _WALK_STEPS = 100_000
-_GRID_ARRIVALS = 64
+_GRID_ARRIVALS = 100
 
 
 class NonFiniteSampleError(FloatingPointError):
@@ -289,11 +287,10 @@ def run_ergodic(
     The samples are the decimal-log distances of the path that applies the
     branch maps one step after another, bit for bit.  Each PCM is measured
     as the path is built, a few thousand states at a time, and then
-    dropped: the run holds the samples (8 bytes a step), the grid's
-    ``_KEPT`` stored states per row (below) and block-sized scratch, not
-    the path.  The path is built one of two ways, chosen by the input word
-    alone.  A 2x2 word of at most ``_WALK_STEPS`` steps (the desk tables
-    and the full-scale run) is walked in Python floats by
+    dropped: the run holds the samples (8 bytes a step) and block-sized
+    scratch, not the path.  The path is built one of two ways, chosen by
+    the input word alone.  A 2x2 word of at most ``_WALK_STEPS`` steps (the
+    desk tables and the full-scale run) is walked in Python floats by
     ``plant._walk_pieces``: on a word that short, numpy call overhead, not
     arithmetic, is the cost of any batched evaluation.  So is a longer 2x2
     word whose mean arrivals over ``_WARMUP`` steps fall below
@@ -310,44 +307,28 @@ def run_ergodic(
     steps before step 0), runs the warm-up without storing it, and then
     runs the rows' own steps in column blocks of about ``pdm._CHUNK``
     states, measuring each block.  Of the stored states it keeps each row's
-    first ``_KEPT`` and its last.  The recursion forgets its start, and in
-    floating point the forgetting is exact: two runs driven by the same
-    word become bit-identical after some hundreds of steps and stay so.  So
-    most rows are already exact at their seam.
+    first and its last.  The recursion forgets its start, and in floating
+    point the forgetting is exact: two runs driven by the same word become
+    bit-identical after some hundreds of steps and stay so.  So most rows
+    are already exact at their seam.
 
     One batched step from every seam state, as stored (the fixed point for
     row 0, the last stored state of row ``j - 1`` for row ``j``), is then
     compared, as bits, with each row's first stored state.  The rows are
     taken in order.  Row ``j`` is left as stored when its check passed and
     row ``j - 1`` was not given a new last state; otherwise
-    ``plant._walk`` walks it from the exact state at its seam, stops at the
-    first step whose state equals, bit for bit, the one kept there, and
-    measures the states it walked.  A walk that meets none of the kept
-    states goes on to the row's end; its last state, when its bits differ
-    from the stored one, is the new seam of row ``j + 1``.  The maps are
+    ``plant._walk`` walks the whole row from the exact state at its seam,
+    and its states are measured.  Its last state, when its bits differ from
+    the stored one, is the new seam of row ``j + 1``.  The maps are
     deterministic functions of their input bits (batched and single calls
     agree bit for bit), so by induction from the fixed point every seam
     and every row is the exact path, inf included.  A NaN keeps its place
     but not always its sign and payload bits, which numpy picks by array
     length (see :mod:`pcmlab.plant`); a path holding one fails its
-    distances either way.  ``_SEGMENT``, ``_WARMUP``, ``_KEPT``,
-    ``_WALK_STEPS`` and ``_GRID_ARRIVALS`` change the speed and memory
-    only, never the result.  The 2x2 distance is an elementwise closed
-    form, so a sample has the same bits whichever block measured it.
-
-    On the moderate config at 200k steps, 117 of the 800 rows are walked,
-    16,684 steps in all: 61 walks meet none of their row's 64 kept states
-    and go on to the row's end (keeping whole rows, they walked 11,251
-    steps).  The former grid (one batched pass from the fixed point at
-    every seam, then a walk in every 1000-step segment) walked 49,578.
-    Under heavy loss most rows do not meet the true path within their
-    warm-up (759 of 800 rows on the heavy config at 200k steps, about 28
-    arrivals per warm-up), and the grid takes longer than the walk.  On the
-    desk plant at 200k steps, against walking the word, the grid broke even
-    at about 45 arrivals per warm-up on independent symbols and about 80 on
-    persistent ones (``alpha = 0.9``); ``_GRID_ARRIVALS = 64`` lies between.
-    The low (332) and moderate (272) configs take the grid, the heavy one
-    (28) the walk.
+    distances either way.  ``_SEGMENT``, ``_WARMUP``, ``_WALK_STEPS`` and
+    ``_GRID_ARRIVALS`` change the speed and memory only, never the result.
+    The 2x2 distance is an elementwise closed form, so a sample has the
+    same bits whichever block measured it.
 
     The distances are strict: the first that fails raises.  The grid
     measures stored states that a walk may replace, so when the path's
@@ -446,7 +427,6 @@ def _segment_grid(blocks, p_star: np.ndarray, bits: np.ndarray,
     length = bits.size
     n = p_star.shape[0]
     count = -(-length // _SEGMENT)
-    kept = min(_KEPT, _SEGMENT)
     # Row j reads the _WARMUP steps before its seam, then its own steps; the
     # word is padded with arrivals before its start and after its end.
     padded = np.ones(_WARMUP + count * _SEGMENT, dtype=bits.dtype)
@@ -457,42 +437,37 @@ def _segment_grid(blocks, p_star: np.ndarray, bits: np.ndarray,
     grid = out[1:].reshape((count, _SEGMENT) + out.shape[1:])
     state = np.broadcast_to(p_star, (count, n, n)).copy()
     _advance(blocks, state, window[:, :_WARMUP])
-    head = np.empty((count, kept, n, n))
     width = max(1, _CHUNK // count)
     for lo in range(0, _SEGMENT, width):
         hi = min(lo + width, _SEGMENT)
         block = np.empty((count, hi - lo, n, n))
         _advance(blocks, state, rows[:, lo:hi], block)
-        if lo < kept:
-            head[:, lo : min(hi, kept)] = block[:, : kept - lo]
+        if lo == 0:
+            first = block[:, 0].copy()
         grid[:, lo:hi] = measure(block.reshape(-1, n, n)).reshape(grid[:, lo:hi].shape)
     # state now holds each row's last stored state.  One step from every
     # seam state, as stored, against each row's first stored state,
     # compared as bits.
     seams = np.concatenate([p_star[None], state[:-1]])
     _advance(blocks, seams, rows[:, :1])
-    met = (seams.view(np.uint64) == head[:, 0].view(np.uint64)).reshape(count, -1).all(axis=1)
+    met = (seams.view(np.uint64) == first.view(np.uint64)).reshape(count, -1).all(axis=1)
     walked = np.zeros(count, dtype=np.int64)
     # Walked rows and their states, measured together about _CHUNK at a time.
-    waiting, states, queued = [], [], 0
+    waiting, states = [], []
     replaced = False
     for j in range(count):
         if replaced or not met[j]:
-            start = p_star if j == 0 else state[j - 1]
-            exact = _walk(blocks, start, rows[j], head[j])
-            walked[j] = len(exact) - 1
+            exact = _walk(blocks, p_star if j == 0 else state[j - 1], rows[j])
+            walked[j] = _SEGMENT
             waiting.append(j)
             states.append(exact[1:])
-            queued += walked[j]
-            # A walk to the row's end may have written a new seam for the next row.
-            replaced = walked[j] == _SEGMENT and exact[-1].tobytes() != state[j].tobytes()
-            if replaced:
-                state[j] = exact[-1]
-        if queued and (queued >= _CHUNK or j == count - 1):
+            # The walk writes a new seam for the next row if its bits differ.
+            replaced = exact[-1].tobytes() != state[j].tobytes()
+            state[j] = exact[-1]
+        if waiting and (len(waiting) * _SEGMENT >= _CHUNK or j == count - 1):
             values = measure(np.concatenate(states))
-            for i, part in zip(waiting, np.split(values, np.cumsum(walked[waiting])[:-1])):
-                grid[i, : walked[i]] = part
-            waiting, states, queued = [], [], 0
+            grid[waiting] = values.reshape((len(waiting),) + grid.shape[1:])
+            waiting, states = [], []
     return out[: length + 1], walked
 
 

@@ -16,10 +16,9 @@ maps, anything else through ``_advance`` on a one-row stack.
 :func:`_walk_pieces` yields the same path a few thousand states at a time,
 so a caller can measure each piece and drop it, or stop.  They serve the
 shorter ergodic paths, the grid rows of the longer ones that fail their
-seam check (where the walk stops as soon as it meets a known path) and the
-search for the first failing step of a broken-down empirical trial or
-ergodic run (which stops at the piece that holds it), where a numpy call
-per step would cost far more than the arithmetic.
+seam check, and the search for the first failing step of a broken-down
+empirical trial or ergodic run (which stops at the piece that holds it),
+where a numpy call per step would cost far more than the arithmetic.
 
 The kernel holds one state per matrix size.  For ``n = 2`` it is the three
 contiguous entry planes ``p00, p01, p11`` of the symmetric stack, and the
@@ -387,33 +386,22 @@ def _advance(blocks, p: np.ndarray, words: np.ndarray, out: np.ndarray | None = 
     store(p, *state)
 
 
-def _walk(blocks, p: np.ndarray, bits: np.ndarray, known: np.ndarray | None = None) -> np.ndarray:
+def _walk(blocks, p: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """The path of the one PCM ``p`` over the arrival bits ``bits``: an
     array of shape ``(len(bits) + 1, n, n)`` with ``path[0] = p`` and
     ``path[k]`` the branch map of ``bits[k - 1]`` applied to
     ``path[k - 1]``.  ``blocks`` is ``_branch_blocks(mp)``.
 
-    ``known``, when given, is a stack of states: the path over the same
-    bits from some other start, ``known[k - 1]`` after step ``k``, for the
-    first ``len(known)`` steps at most.  The walk then stops after the first
-    step ``k`` whose state equals ``known[k - 1]`` bit for bit and returns
-    ``path[: k + 1]``.  The maps are deterministic functions of their input
-    bits, so from that step on the other start's path is the exact one.  A
-    walk that does not meet ``known`` returns the whole path.
-
     The one piece of :func:`_walk_pieces` as long as the word.
     """
-    return next(_walk_pieces(blocks, p, bits, bits.size, known))
+    return next(_walk_pieces(blocks, p, bits, bits.size))
 
 
-def _walk_pieces(blocks, p: np.ndarray, bits: np.ndarray, size: int,
-                 known: np.ndarray | None = None):
+def _walk_pieces(blocks, p: np.ndarray, bits: np.ndarray, size: int):
     """Yield the path of :func:`_walk` in consecutive pieces of at most
     ``size + 1`` states, each starting with the last state of the piece
     before it (``p`` for the first): a word of no bits yields ``p`` alone.
     Each piece is a view of one buffer that the next piece overwrites.
-    ``known`` stops the walk as in :func:`_walk`; the piece holding the
-    matching state is then the last.
 
     A 2x2 PCM is walked in Python floats through ``_gamma0_planes`` /
     ``_gamma1_planes``, which use only ``+ - * /`` and so give the bits of
@@ -421,27 +409,22 @@ def _walk_pieces(blocks, p: np.ndarray, bits: np.ndarray, size: int,
     one matrix a step then costs about as much as two numpy calls, where the
     plane maps make 29 (open loop) or 60 (measurement).  Any other size,
     and the rest of a word after a step whose determinant is exactly 0.0
-    (Python raises where numpy gives inf or NaN), step through ``_advance``
-    on a one-row stack, in every later piece too.
+    (Python raises where numpy gives inf or NaN), in this piece and every
+    later one, go through ``_advance`` on a one-row stack, one call a piece.
     """
     n = p.shape[-1]
     buf = np.empty((min(size, bits.size) + 1, n, n))
     buf[0] = p
-    matched = 0 if known is None else len(known)
     floats = n == 2
     if floats:
         a0, w0, a1, w1, k1 = blocks
         coef0, coef1 = _coefficients(a0, w0), _coefficients(a1, w1, k1)
         flat = memoryview(buf.reshape(-1))
-        # The same entries as integers, so that a match is a match of bits.
-        got = memoryview(buf.reshape(-1).view(np.uint64))
-        want = None if known is None else memoryview(known.reshape(-1).view(np.uint64))
         x00, x01, x11 = p[0, 0].item(), p[0, 1].item(), p[1, 1].item()
     first = 0  # steps taken before the current piece
     while True:
         stop = min(first + size, bits.size)
         k = 0  # steps taken in the current piece
-        limit = matched - first  # steps of the current piece that known covers
         if floats:
             for bit in bits[first:stop].tolist():
                 try:
@@ -458,19 +441,10 @@ def _walk_pieces(blocks, p: np.ndarray, bits: np.ndarray, size: int,
                 flat[i + 1] = x01
                 flat[i + 2] = x01
                 flat[i + 3] = x11
-                if k <= limit:
-                    j = i + 4 * (first - 1)
-                    if got[i] == want[j] and got[i : i + 4] == want[j : j + 4]:
-                        yield buf[: k + 1]
-                        return
-        while first + k < stop:
-            state = buf[k : k + 1].copy()
-            _advance(blocks, state, bits[None, first + k : first + k + 1])
-            k += 1
-            buf[k] = state[0]
-            if k <= limit and buf[k].tobytes() == known[first + k - 1].tobytes():
-                yield buf[: k + 1]
-                return
+        if first + k < stop:
+            _advance(blocks, buf[k : k + 1].copy(), bits[None, first + k : stop],
+                     buf[None, k + 1 : stop - first + 1])
+            k = stop - first
         yield buf[: k + 1]
         first = stop
         if first == bits.size:

@@ -313,7 +313,7 @@ class TestCommands:
         assert "checkpoints must be at least 2" in capsys.readouterr().err
         assert not (tmp_path / "rate.csv").exists()
 
-    @pytest.mark.parametrize("tokens, bad", [("10,abc", "'abc'"), ("10,,20", "''")])
+    @pytest.mark.parametrize("tokens, bad", [("10,abc", "'abc'"), ("10,,20", "''"), ("", "''")])
     def test_rate_names_the_bad_checkpoint(self, tmp_path, capsys, tokens, bad):
         assert run_cli("rate", "--config", REFERENCE_CONFIG, "--ergodic-length", 2000,
                        f"--checkpoints={tokens}", "--out", tmp_path) == 2

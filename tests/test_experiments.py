@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcmlab.experiments as experiments
+import pcmlab.plant as plant_module
 from pcmlab import ChannelParams, ExperimentConfig
 from pcmlab.channel import sample_chain, stationary_probability
 from pcmlab.cli import load_config
@@ -29,7 +30,7 @@ from pcmlab.experiments import (
     run_ergodic,
 )
 from pcmlab.pdm import NotPositiveDefiniteError, PDMatrix, not_positive_definite
-from pcmlab.plant import _advance, _branch_blocks, _walk, _walk_pieces
+from pcmlab.plant import _advance, _branch_blocks, _walk, _walk_pieces, build_modified_plant
 from pcmlab.stationary import delta_distribution
 
 from conftest import random_plant
@@ -192,10 +193,10 @@ class TestErgodic:
         assert samples[0] <= 1e-12
 
     def test_million_step_traced_memory_peak(self):
-        # A million steps on moderate loss: the sampler pass peaks at 19.7 MB
-        # (8 bytes of uniforms a step), and after it the run holds the
-        # samples (8 MB) with the grid's kept states (8.2 MB), then the
-        # histogram's 17 MB of temporaries: a traced peak of 25.1 MB.
+        # A million steps on moderate loss: the sampler pass peaks at 19.0 MB
+        # (8 bytes of uniforms a step), the grid at 11.5 MB (the samples,
+        # 8 MB, the word and block-sized scratch), and the histogram's 17 MB
+        # of temporaries beside the samples give a traced peak of 25.1 MB.
         # Holding the path took it to 58.1 MB; the bound is half of that.
         cfg = replace(load_config(CONFIGS / "paper_section5_moderate.json"),
                       ergodic_length=1_000_000)
@@ -270,9 +271,8 @@ def assert_segmented_exact(cfg, prep):
     assert measured.tobytes() == samples.tobytes()
     assert again.tobytes() == walked.tobytes()
     assert run_ergodic(cfg, prep)[0].tobytes() == samples.tobytes()
-    # A row whose seam check passed is not walked; any other walks at least
-    # the step that meets (or replaces) its stored value.
-    assert ((walked >= 0) & (walked <= experiments._SEGMENT)).all()
+    # A row whose seam check passed is not walked; any other walks whole.
+    assert ((walked == 0) | (walked == experiments._SEGMENT)).all()
     return walked
 
 
@@ -329,9 +329,9 @@ class TestSegmentedErgodic:
         assert_segmented_exact(cfg, prepare(cfg))
 
     def test_heavy_loss_rerun_rounds_bitwise(self):
-        # Under heavy loss some rows do not forget their warm-up start within
-        # their steps: a walk crosses at least one whole row without meeting
-        # its stored values, and the next row is walked from the new seam.
+        # Under heavy loss many rows do not forget their warm-up start: they
+        # are walked whole, and a walk that ends on new bits sends the next
+        # row walking from the new seam.
         cfg = replace(load_config(CONFIGS / "paper_section5_heavy.json"), master_seed=18)
         walked = assert_segmented_exact(cfg, prepare(cfg))
         assert walked.max() == experiments._SEGMENT
@@ -363,7 +363,7 @@ class TestSegmentedErgodic:
     @pytest.mark.parametrize(
         "length",
         sorted(
-            {1, 999, 1000, 1001, 2507}
+            {1, 349, 350, 351, 599, 600, 601, 999, 1000, 1001, 2507}
             | {k + d for k in (experiments._SEGMENT, experiments._WARMUP,
                                experiments._WARMUP + experiments._SEGMENT) for d in (-1, 0, 1)}
         ),
@@ -383,25 +383,20 @@ class TestSegmentedErgodic:
             walked = assert_segmented_exact(cfg, prep)
             assert (walked == segment).any()
 
-    @pytest.mark.parametrize("kept", [1, 2, experiments._SEGMENT + 1])
     @pytest.mark.parametrize("fields", [{"ergodic_length": 500}, {"master_seed": 18}])
-    def test_exact_for_any_kept_states(self, monkeypatch, kept, fields):
-        # Each walked row stops at the first step where the exact path meets
-        # the stored one, when that step is among the _KEPT kept states, and
-        # otherwise walks to the row's end.  Both words hold a row that
-        # meets only after a step or two (row 0 of the 500-step word at 220).
-        monkeypatch.setattr(experiments, "_KEPT", kept)
+    def test_failing_rows_walk_whole(self, fields):
+        # A walked row walks all of its steps, and a row left as stored met
+        # the exact path at its first step.  Both words hold rows that meet
+        # only later, or never, within their own steps.
         cfg = replace(load_config(CONFIGS / "paper_section5_heavy.json"), **fields)
         prep = prepare(cfg)
         walked = assert_segmented_exact(cfg, prep)
         meets = first_meets(cfg, prep)
-        late = [j for j, meet in enumerate(meets) if meet is not None and meet > 2]
-        assert late and (walked[late] > 2).all()
+        assert any(meet != 1 for meet in meets)
         for steps, meet in zip(walked, meets):
+            assert steps in (0, experiments._SEGMENT)
             if steps == 0:
                 assert meet == 1
-            else:
-                assert steps == (meet if meet is not None and meet <= kept else experiments._SEGMENT)
 
     def test_rounds_bounded_without_coalescence(self, tmp_path):
         # With a scaled by 8 the recursion forgets its start far more slowly:
@@ -451,9 +446,8 @@ class TestWalk:
         assert (len(route), len(grid), len(walk)) == (1, 0, 0)
         assert_walked_exact(replace(ref_cfg, ergodic_length=limit + 1), ref_prep)
         assert (len(route), len(grid)) == (1, 1)
-        # Past the limit the only walks are the grid's, each of one row
-        # against the states kept for it.
-        assert all(len(args) == 4 for args in walk)
+        # Past the limit the only walks are the grid's, each of one row.
+        assert all(len(args) == 3 for args in walk)
 
     @pytest.mark.parametrize("name, route", [
         ("paper_section5.json", "_segment_grid"),
@@ -461,8 +455,8 @@ class TestWalk:
         ("paper_section5_heavy.json", "_walk"),
     ])
     def test_long_word_route_follows_its_arrivals(self, monkeypatch, name, route):
-        # At 200k steps low (332 arrivals per warm-up) and moderate (272)
-        # take the grid; heavy (28) would walk most grid rows anyway.
+        # At 200k steps low (475 arrivals per warm-up) and moderate (389)
+        # take the grid; heavy (39) would walk most grid rows anyway.
         cfg = load_config(CONFIGS / name)
         prep = prepare(cfg)
         word = sample_chain(cfg.channel, stationary_probability(cfg.channel),
@@ -475,8 +469,8 @@ class TestWalk:
         if route == "_walk":
             assert not grid and not walk and len(pieces) == 1
         else:
-            # The grid's own walks each cover one row against its kept states.
-            assert len(grid) == 1 and not pieces and all(len(args) == 4 for args in walk)
+            # The grid's own walks each cover one row.
+            assert len(grid) == 1 and not pieces and all(len(args) == 3 for args in walk)
         # Measured as it is built, block by block, the path keeps the bits
         # of its distances taken all at once.
         samples = _ergodic_path(prep.mp, prep.p_star.entries, word, log_distances(prep.p_star))
@@ -513,12 +507,7 @@ class TestWalk:
         assert path.tobytes() == want.tobytes()
 
     def test_zero_determinant_falls_back_to_the_kernel(self):
-        # a1 = 0, w1 = I, k1 = -I: every arrival makes I + k1 z = 0, which
-        # Python floats refuse to divide by and numpy turns into NaN.
-        blocks = (np.array([[1.1, 0.2], [0.0, 0.9]]), np.eye(2), np.zeros((2, 2)),
-                  np.eye(2), -np.eye(2))
-        bits = np.array([0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
-        p = np.array([[2.0, 0.5], [0.5, 1.0]])
+        blocks, p, bits = zero_determinant_word()
         want = np.empty((bits.size + 1, 2, 2))
         want[0] = p
         _advance(blocks, p[None].copy(), bits[None], want[None, 1:])
@@ -528,50 +517,45 @@ class TestWalk:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7])
     def test_pieces_join_into_the_walk(self, size):
-        # The word of the test above: every piece after the hand-off to the
-        # kernel stays with the kernel.
-        blocks = (np.array([[1.1, 0.2], [0.0, 0.9]]), np.eye(2), np.zeros((2, 2)),
-                  np.eye(2), -np.eye(2))
-        bits = np.array([0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
-        p = np.array([[2.0, 0.5], [0.5, 1.0]])
-        pieces = [piece.copy() for piece in _walk_pieces(blocks, p, bits, size)]
-        assert all(len(piece) <= size + 1 for piece in pieces)
-        assert all(a[-1].tobytes() == b[0].tobytes() for a, b in zip(pieces, pieces[1:]))
-        joined = np.concatenate([pieces[0]] + [piece[1:] for piece in pieces[1:]])
-        assert joined.tobytes() == _walk(blocks, p, bits).tobytes()
+        # The word of the test above, where every piece after the hand-off
+        # to the kernel stays with the kernel, and a 3x3 plant, which the
+        # kernel walks from the start.
+        plant = random_plant(np.random.default_rng(7), n=3, m=2, p=2, n_err=1)
+        zero = zero_determinant_word()
+        three = (_branch_blocks(build_modified_plant(plant)), 2.0 * np.eye(3), zero[2])
+        for blocks, p, bits in (zero, three):
+            pieces = [piece.copy() for piece in _walk_pieces(blocks, p, bits, size)]
+            assert all(len(piece) <= size + 1 for piece in pieces)
+            assert all(a[-1].tobytes() == b[0].tobytes() for a, b in zip(pieces, pieces[1:]))
+            joined = np.concatenate([pieces[0]] + [piece[1:] for piece in pieces[1:]])
+            assert joined.tobytes() == _walk(blocks, p, bits).tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_known_path_stops_at_the_first_bitwise_match(self, n):
-        # Two starts driven by one word meet bit for bit; the walk from the
-        # second start stops there, and the rest of the first path is its own.
-        rng = np.random.default_rng(n)
-        plant = random_plant(rng, n=n, m=2, p=2, n_err=1)
-        cfg = ExperimentConfig(plant=plant, channel=ChannelParams(0.8, 0.3), master_seed=5)
-        prep = prepare(cfg)
-        blocks = _branch_blocks(prep.mp)
-        bits = sample_chain(cfg.channel, 0.5, 3000, 5)[1:]
-        known = _walk(blocks, prep.p_star.entries, bits)
-        exact = _walk(blocks, 1e3 * np.eye(n), bits)
-        met = int(np.flatnonzero([x.tobytes() == y.tobytes() for x, y in zip(exact, known)])[0])
-        walked = _walk(blocks, 1e3 * np.eye(n), bits, known[1:])
-        assert len(walked) == met + 1
-        assert np.concatenate([walked, known[met + 1 :]]).tobytes() == exact.tobytes()
+    @pytest.mark.parametrize("size, steps", [(3, [1, 3, 1]), (7, [5])])
+    def test_kernel_walks_each_piece_in_one_call(self, monkeypatch, size, steps):
+        # After the zero determinant at step 3, each piece's remaining steps
+        # take one kernel call.
+        blocks, p, bits = zero_determinant_word()
+        real, calls = plant_module._advance, []
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_known_path_matches_bits_not_values(self, n):
-        # Diagonal maps keep every off-diagonal entry at 0.0; a known path
-        # holding -0.0 there equals the walk as floats but not as bits, so
-        # the walk must pass those steps and stop at the first true match.
-        eye = np.eye(n)
-        blocks = (np.diag(np.linspace(1.1, 0.9, n)), eye, 0.5 * eye, eye, eye)
-        bits = np.array([0, 1, 0, 0, 1, 1, 0, 1], dtype=np.uint8)
-        exact = _walk(blocks, eye, bits)
-        assert (exact[:, 0, 1] == 0.0).all() and not np.signbit(exact[:, 0, 1]).any()
-        known = exact[1:].copy()
-        known[:3, 0, 1] = known[:3, 1, 0] = -0.0
-        walked = _walk(blocks, eye, bits, known)
-        assert len(walked) == 5
-        assert walked.tobytes() == exact[:5].tobytes()
+        def wrapper(blocks, p, words, out=None):
+            calls.append(words.shape[1])
+            return real(blocks, p, words, out)
+
+        monkeypatch.setattr(plant_module, "_advance", wrapper)
+        for _ in _walk_pieces(blocks, p, bits, size):
+            pass
+        assert calls == steps
+
+
+def zero_determinant_word():
+    """A 2x2 plant, a start and a word whose first arrival, at step 3, meets
+    a zero determinant: a1 = 0, w1 = I, k1 = -I make every arrival's
+    I + k1 z = 0, which Python floats refuse to divide by and numpy turns
+    into NaN."""
+    blocks = (np.array([[1.1, 0.2], [0.0, 0.9]]), np.eye(2), np.zeros((2, 2)),
+              np.eye(2), -np.eye(2))
+    p = np.array([[2.0, 0.5], [0.5, 1.0]])
+    return blocks, p, np.array([0, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
 
 
 def overflow_config(tmp_path, **fields):
@@ -900,11 +884,10 @@ class TestRateStudy:
 
     def test_traced_memory_peak(self):
         # The benchmark's rate run: 200k steps on moderate loss.  The path is
-        # measured as it is built, so the run holds the word (0.2 MB), the
-        # samples (1.6 MB), the grid's 64 kept states per row (1.6 MB) and
-        # block-sized scratch, after a sampler pass of 4.5 MB: a traced peak
-        # of 4.9-5.1 MB.  Holding the path took it to 12.3 MB.  The 0.9 MB
-        # margin is below the 1.6 MB of any whole-word float64 temporary.
+        # measured as it is built, so the grid holds the word (0.2 MB), the
+        # samples (1.6 MB) and block-sized scratch, 3.1 MB in all, and the
+        # traced peak is the sampler pass before it: 3.8 MB (4.5 MB in a
+        # process's first draw).  Holding the path took it to 12.3 MB.
         cfg = replace(load_config(CONFIGS / "paper_section5_moderate.json"), ergodic_length=200_000)
         prep = prepare(cfg)
         assert traced_peak(lambda: rate_study(cfg, [1_000, 10_000, 100_000], prep)) < 6_000_000
