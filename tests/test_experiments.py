@@ -383,11 +383,14 @@ class TestSegmentedErgodic:
             walked = assert_segmented_exact(cfg, prep)
             assert (walked == segment).any()
 
+    @pytest.mark.parametrize("warmup", [1, 2, 251, experiments._WARMUP])
     @pytest.mark.parametrize("fields", [{"ergodic_length": 500}, {"master_seed": 18}])
-    def test_failing_rows_walk_whole(self, fields):
-        # A walked row walks all of its steps, and a row left as stored met
-        # the exact path at its first step.  Both words hold rows that meet
-        # only later, or never, within their own steps.
+    def test_exact_for_any_kept_states(self, monkeypatch, warmup, fields):
+        # The warm-up decides which rows the grid keeps as stored.  Whatever
+        # it keeps, a walked row walks all of its steps, and a row left as
+        # stored met the exact path at its first step.  Both words hold rows
+        # that meet only later, or never, within their own steps.
+        monkeypatch.setattr(experiments, "_WARMUP", warmup)
         cfg = replace(load_config(CONFIGS / "paper_section5_heavy.json"), **fields)
         prep = prepare(cfg)
         walked = assert_segmented_exact(cfg, prep)
